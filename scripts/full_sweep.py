@@ -1,7 +1,8 @@
 """Full evaluation sweep: all schemes on all 25 evaluated pairs.
 
-Pass ``--trace`` to record the sweep (JSONL trace + Perfetto export +
-manifest under ``results/traces/``); summarize it afterwards with
+Pass ``--trace`` to record the sweep the way ``repro ... --trace``
+records a run (event stream + Perfetto export + manifest under
+``results/traces/``); summarize it afterwards with
 ``python -m repro trace summarize <run-id>``.
 """
 import argparse
@@ -12,16 +13,9 @@ import time
 from pathlib import Path
 
 from repro import medium_config
+from repro.cli import traced_run
 from repro.experiments.common import CACHE_FORMAT, ExperimentContext
-from repro.obs import (
-    MetricsRegistry,
-    RunManifest,
-    Tracer,
-    get_metrics,
-    set_metrics,
-    tracing,
-    write_chrome_trace,
-)
+from repro.obs import RunManifest
 from repro.workloads.generator import EVALUATED_PAIRS
 
 SCHEMES = ("besttlp", "maxtlp", "dyncta", "ccws", "modbypass",
@@ -65,8 +59,6 @@ def main(argv=None):
         run_sweep(ctx)
         return
     run_id = f"full_sweep-{time.strftime('%Y%m%d-%H%M%S')}-seed{args.seed}"
-    out_dir = Path(args.trace_dir) / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.start(
         run_id=run_id, command="full_sweep", argv=list(sys.argv[1:]),
         config_name="medium", config_dict=dataclasses.asdict(config),
@@ -74,20 +66,8 @@ def main(argv=None):
         cache_format=CACHE_FORMAT,
         repo_root=Path(__file__).resolve().parents[1],
     )
-    tracer = Tracer(run_id)
-    previous = set_metrics(MetricsRegistry())
-    try:
-        with tracing(tracer):
-            run_sweep(ctx)
-    finally:
-        snapshot = get_metrics().snapshot()
-        set_metrics(previous)
-        tracer.write(out_dir / "trace.jsonl")
-        write_chrome_trace(out_dir / "trace.chrome.json", tracer.events, run_id)
-        manifest.finish(phases=tracer.phase_totals(), metrics=snapshot,
-                        files=["trace.jsonl", "trace.chrome.json"])
-        manifest.write(out_dir)
-        print(f"trace written to {out_dir}", file=sys.stderr)
+    with traced_run(Path(args.trace_dir) / run_id, manifest):
+        run_sweep(ctx)
 
 if __name__ == "__main__":
     main()

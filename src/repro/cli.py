@@ -32,13 +32,13 @@ Commands
 ``trace summarize RUN``
     Summarize a traced run (per-phase timings, per-app EB/BW/CMR
     window timelines, the controller decision log).  ``RUN`` is a run
-    id under the trace directory, a run directory, or a trace file.
+    id under the trace directory, a run directory, or its stream file.
     ``--json`` emits the same summary machine-readably.
     See ``docs/observability.md``.
 
 ``watch RUN``
     Follow the live dashboard of a running (or finished) traced sweep
-    by tailing its ``live.ndjson`` stream.
+    by tailing its ``events.ndjson`` stream.
 
 ``bench history``
     Render the engine benchmark trend from ``results/bench_history.jsonl``
@@ -48,11 +48,11 @@ All simulation commands accept ``--config {paper,medium,small}``, ``--quick``
 (short test-scale runs), ``--seed N`` and ``--jobs N`` (parallel
 simulation workers; default ``$REPRO_JOBS``, else all cores) — before
 or after the subcommand.  Heavy products are cached under ``results/``.
-With ``--trace``, a run additionally writes a JSONL event trace, a
-Chrome/Perfetto export, a live NDJSON telemetry stream, and a
-provenance manifest under ``results/traces/<run-id>/``.  ``--watch``
-(live dashboard) and ``--profile`` (cProfile worker jobs + engine
-self-profiling counters) both imply ``--trace``.
+With ``--trace``, a run additionally writes its NDJSON event stream,
+the stream's Chrome/Perfetto export, and a provenance manifest under
+``results/traces/<run-id>/``.  ``--watch`` (live dashboard) and
+``--profile`` (cProfile worker jobs + engine self-profiling counters)
+both imply ``--trace``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ import dataclasses
 import json
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.config import GPUConfig, medium_config, paper_config, small_config
@@ -82,15 +83,19 @@ from repro.obs.bench import (
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.dashboard import Dashboard
 from repro.obs.dashboard import watch as watch_live
-from repro.obs.live import LiveHub, set_publisher
+from repro.obs.live import STREAM_FILENAME, LiveHub, load_live, set_publisher
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.obs.summarize import summarize, summary_data
-from repro.obs.trace import Tracer, tracing
+from repro.obs.summarize import (
+    resolve_trace_path,
+    span_totals,
+    summarize,
+    summary_data,
+)
 from repro.sim import set_engine_profiling
 from repro.workloads.table4 import APPLICATIONS, app_by_abbr
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "traced_run"]
 
 _CONFIGS = {
     "paper": paper_config,
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_summarize.add_argument(
         "run", metavar="RUN",
         help="run id under the trace directory, a run directory, "
-        "or a trace.jsonl path",
+        f"or an {STREAM_FILENAME} path",
     )
     p_summarize.add_argument(
         "--trace-dir", default=DEFAULT_TRACE_DIR, metavar="DIR",
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "run", metavar="RUN",
         help="run id under the trace directory, a run directory, "
-        "or a live.ndjson path",
+        f"or an {STREAM_FILENAME} path",
     )
     p_watch.add_argument(
         "--trace-dir", default=DEFAULT_TRACE_DIR, metavar="DIR",
@@ -458,31 +463,17 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    target: str | Path = args.run
-    candidate = Path(args.trace_dir) / args.run
-    if not Path(args.run).exists() and candidate.exists():
-        target = candidate
+    path = resolve_trace_path(args.run, Path(args.trace_dir))
     if getattr(args, "as_json", False):
-        print(json.dumps(summary_data(target), indent=2, sort_keys=True))
+        print(json.dumps(summary_data(path), indent=2, sort_keys=True))
     else:
-        print(summarize(target))
+        print(summarize(path))
     return 0
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    path = Path(args.run)
-    if path.is_file():
-        live_path = path
-    elif path.is_dir():
-        live_path = path / "live.ndjson"
-    else:
-        live_path = Path(args.trace_dir) / args.run / "live.ndjson"
-    if not live_path.is_file():
-        raise FileNotFoundError(
-            f"no live stream for {args.run!r} (tried {live_path})"
-        )
     state = watch_live(
-        live_path,
+        resolve_trace_path(args.run, Path(args.trace_dir)),
         follow=not args.no_follow,
         timeout_s=args.timeout,
         run_id=str(args.run),
@@ -522,22 +513,81 @@ _COMMANDS = {
 }
 
 
-def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
-    """Run a simulation command with tracer + live telemetry installed.
+@contextmanager
+def traced_run(
+    out_dir: Path,
+    manifest: RunManifest,
+    *,
+    profile: bool = False,
+    watch: bool = False,
+) -> Iterator[Path]:
+    """Record everything run inside the block as one traced run.
 
-    Produces ``<trace-dir>/<run-id>/`` holding the JSONL trace, its
-    Chrome/Perfetto export, the ``live.ndjson`` telemetry stream, and
-    the provenance manifest.  The manifest is written even when the
-    command fails: a crashed run's partial trace is exactly the one
-    worth inspecting.  ``--watch`` attaches a dashboard to the live
-    stream in-process; ``--profile`` enables cProfile around worker
-    jobs and the engine's self-profiling counters.
+    Installs a fresh metrics registry and a :class:`LiveHub` whose
+    publisher becomes the ambient one, so ``out_dir`` receives the
+    run's event stream; on exit it folds the stream into the
+    Chrome/Perfetto export and the manifest's per-phase timings.  The
+    manifest is written even when the block fails: a crashed run's
+    partial stream is exactly the one worth inspecting.  ``watch``
+    attaches a dashboard to the stream in-process; ``profile`` enables
+    cProfile around worker jobs and the engine's self-profiling
+    counters.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    run_id = manifest.run_id
+    # A fresh metrics registry isolates this run's counters (cache
+    # hits/misses, engine counters) from anything else in the process.
+    previous_metrics = set_metrics(MetricsRegistry())
+    dashboard = Dashboard(run_id=run_id) if watch else None
+    hub = LiveHub(
+        run_id,
+        out_dir / STREAM_FILENAME,
+        profile=profile,
+        on_record=dashboard.on_record if dashboard is not None else None,
+    )
+    previous_publisher = set_publisher(hub.publisher)
+    previous_profiling = set_engine_profiling(True) if profile else None
+    written: list[str] = []
+    phases: dict = {}
+    try:
+        try:
+            yield out_dir
+        finally:
+            set_publisher(previous_publisher)
+            if previous_profiling is not None:
+                set_engine_profiling(previous_profiling)
+            # Close the hub while this run's metrics registry is still
+            # ambient: the final drain merges the last worker metric
+            # deltas into it.
+            hub.close()
+            written.append(STREAM_FILENAME)
+    finally:
+        metrics_snapshot = get_metrics().snapshot()
+        set_metrics(previous_metrics)
+        try:
+            _header, records = load_live(hub.path)
+            phases = span_totals(records)
+            write_chrome_trace(out_dir / "trace.chrome.json", records, run_id)
+            written.append("trace.chrome.json")
+        finally:
+            # ``files`` records what actually landed on disk, and
+            # ``repro trace summarize`` degrades to a partial summary.
+            manifest.finish(
+                phases=phases, metrics=metrics_snapshot, files=sorted(written)
+            )
+            manifest.write(out_dir)
+            print(f"trace written to {out_dir}", file=sys.stderr)
+
+
+def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
+    """Run a simulation command as a :func:`traced_run`.
+
+    Produces ``<trace-dir>/<run-id>/`` holding the event stream, its
+    Chrome/Perfetto export, and the provenance manifest.
     """
     run_id = (
         f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}-seed{args.seed}"
     )
-    out_dir = Path(args.trace_dir) / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.start(
         run_id=run_id,
         command=args.command,
@@ -550,59 +600,13 @@ def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
         cache_format=CACHE_FORMAT,
         repo_root=Path(__file__).resolve().parents[2],
     )
-    tracer = Tracer(run_id)
-    profiled = getattr(args, "profile", False)
-    # A fresh metrics registry isolates this run's counters (cache
-    # hits/misses, timers) from anything else in the process.
-    previous_metrics = set_metrics(MetricsRegistry())
-    dashboard = (
-        Dashboard(run_id=run_id) if getattr(args, "watch", False) else None
-    )
-    hub = LiveHub(
-        run_id,
-        out_dir / "live.ndjson",
-        profile=profiled,
-        on_record=dashboard.on_record if dashboard is not None else None,
-    )
-    previous_publisher = set_publisher(hub.publisher)
-    previous_profiling = set_engine_profiling(True) if profiled else None
-    written: list[str] = []
-    try:
-        with tracing(tracer):
-            try:
-                code = _COMMANDS[args.command](args)
-            finally:
-                set_publisher(previous_publisher)
-                if previous_profiling is not None:
-                    set_engine_profiling(previous_profiling)
-                # Close the hub while the tracer and this run's metrics
-                # registry are still ambient: the final drain merges the
-                # last worker metric deltas into the run's registry and
-                # folds profile frames into the trace being exported.
-                hub.close()
-                written.append("live.ndjson")
-    finally:
-        metrics_snapshot = get_metrics().snapshot()
-        set_metrics(previous_metrics)
-        trace_path = out_dir / "trace.jsonl"
-        chrome_path = out_dir / "trace.chrome.json"
-        try:
-            tracer.write(trace_path)
-            written.append(trace_path.name)
-            write_chrome_trace(chrome_path, tracer.events, run_id)
-            written.append(chrome_path.name)
-        finally:
-            # The manifest goes out even when an export step fails:
-            # ``files`` then records what actually landed on disk, and
-            # ``repro trace summarize`` degrades to a partial summary.
-            manifest.finish(
-                phases=tracer.phase_totals(),
-                metrics=metrics_snapshot,
-                files=sorted(written),
-            )
-            manifest.write(out_dir)
-            print(f"trace written to {out_dir}", file=sys.stderr)
-    return code
+    with traced_run(
+        Path(args.trace_dir) / run_id,
+        manifest,
+        profile=getattr(args, "profile", False),
+        watch=getattr(args, "watch", False),
+    ):
+        return _COMMANDS[args.command](args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

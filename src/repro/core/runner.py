@@ -44,7 +44,6 @@ from repro.exec.jobs import SimJob, run_sim_job
 from repro.exec.pool import ProgressFn, run_jobs
 from repro.metrics.slowdown import fairness_index, harmonic_speedup, weighted_speedup
 from repro.obs.live import get_publisher, result_records
-from repro.obs.trace import CLOCK_CYCLES, NullTracer, Tracer, get_tracer
 from repro.sim.engine import SimResult, Simulator
 from repro.sim.stats import WindowSample
 
@@ -400,7 +399,7 @@ def evaluate_scheme(
         # the surface: reuse it, which also makes the oracle exact.
         result = surface[combo]  # type: ignore[index]
     else:
-        with get_tracer().span(
+        with get_publisher().span(
             f"evaluate:{scheme}", cat="scheme", workload=name
         ):
             result = run_combo(
@@ -423,53 +422,22 @@ def evaluate_scheme(
     )
 
 
-def emit_scheme_events(
-    result: SchemeResult, tracer: "Tracer | NullTracer | None" = None
-) -> None:
-    """Emit a scheme evaluation's sim-layer telemetry onto the tracer.
+def emit_scheme_events(result: SchemeResult) -> None:
+    """Publish a scheme evaluation's sim-layer telemetry to the stream.
 
     Emission happens *after* the run, from the persisted window log and
     decision log, for two reasons: the simulator hot loop stays free of
-    tracing overhead, and the same telemetry is replayable from cached
-    results and from scheme evaluations computed in pool workers (whose
-    in-process tracer is the null one).
+    telemetry overhead, and the same records are replayable from cached
+    results and from scheme evaluations computed in pool workers.
 
-    Counter events are named ``{workload}|{scheme}|app{N}`` with the
-    per-window EB/BW/CMR series; decision records become instants in
-    the ``pbs`` (online PBS) or ``ctrl`` (baseline) category.  All of
-    them are cycle-stamped.
-
-    The live telemetry stream gets the same windows and decisions, from
-    the same seam: the *parent-side* publisher emits them here exactly
-    once per scheme result — whether it was evaluated in-process, in a
-    pool worker, or replayed from cache — so pool workers deliberately
-    do not publish SchemeResult windows themselves.
+    The *parent-side* publisher emits them here exactly once per scheme
+    result — whether it was evaluated in-process, in a pool worker, or
+    replayed from cache — so pool workers deliberately do not publish
+    SchemeResult windows themselves.  Every record is cycle-stamped:
+    ``window`` records carry the per-app EB/BW/CMR/IPC series, and
+    ``decision`` records the controller's full decision detail.
     """
     publisher = get_publisher()
     if publisher.enabled and not publisher.worker:
-        for record in result_records(result, window_cap=publisher.window_cap):
+        for record in result_records(result):
             publisher.publish(record)
-    tracer = tracer if tracer is not None else get_tracer()
-    if not tracer.enabled:
-        return
-    for t, samples in result.result.windows:
-        for a in sorted(samples):
-            s = samples[a]
-            tracer.counter(
-                f"{result.workload}|{result.scheme}|app{a}",
-                {"eb": s.eb, "bw": s.bw, "cmr": s.cmr},
-                ts=t,
-                cat="window",
-            )
-    cat = "pbs" if result.scheme.startswith("pbs") else "ctrl"
-    for d in result.decisions:
-        detail = {k: v for k, v in d.items() if k not in ("kind", "cycle")}
-        tracer.instant(
-            f"{cat}.{d['kind']}",
-            cat=cat,
-            clock=CLOCK_CYCLES,
-            ts=d["cycle"],
-            workload=result.workload,
-            scheme=result.scheme,
-            **detail,
-        )

@@ -12,13 +12,15 @@ The dependency contract of the tree:
   ``repro.metrics``, ``repro.analysis``) — the engine must stay usable
   without the experiment harness.  ``if TYPE_CHECKING:`` imports are
   exempt (they vanish at runtime).
-* ``repro.sim`` also never imports the live-telemetry consumers
-  ``repro.obs.live`` / ``repro.obs.dashboard``: those modules sit
+* ``repro.sim`` also never imports the telemetry stream
+  (``repro.obs.live``) or its folds (``repro.obs.chrome``,
+  ``repro.obs.summarize``, ``repro.obs.dashboard``): those modules sit
   *above* the simulator (they stream and render its outputs), and the
-  engine's only sanctioned observability seam is the tracer/metrics
-  layer (``repro.obs.trace`` / ``repro.obs.metrics``) plus the probe
-  API.  Publishing engine self-profiling through the ambient metrics
-  registry keeps profiled and unprofiled runs bit-identical.
+  engine's only sanctioned observability seam is the metrics registry
+  (``repro.obs.metrics``) plus the probe API, whose ``to_events()``
+  returns plain stream records.  Publishing engine self-profiling
+  through the ambient metrics registry keeps profiled and unprofiled
+  runs bit-identical.
 
 Tests are exempt: white-box tests poke internals by design.
 """
@@ -40,9 +42,14 @@ _FACADE_CONSUMERS = ("repro.experiments", "repro.metrics", "repro.analysis")
 #: Layers the simulator itself may never import.
 _ABOVE_SIM = ("repro.experiments", "repro.metrics", "repro.analysis")
 
-#: Observability modules that *consume* simulator output (live stream,
-#: dashboard); the engine may use the tracer/metrics seam, never these.
-_SIM_FORBIDDEN_OBS = ("repro.obs.live", "repro.obs.dashboard")
+#: Observability modules that *consume* simulator output (the stream and
+#: its folds); the engine may use the metrics registry, never these.
+_SIM_FORBIDDEN_OBS = (
+    "repro.obs.live",
+    "repro.obs.chrome",
+    "repro.obs.summarize",
+    "repro.obs.dashboard",
+)
 
 
 def _type_checking_lines(tree: ast.Module) -> set[int]:
@@ -116,8 +123,8 @@ class LayeringRule(LintRule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"repro.sim must not import '{module}': live "
-                        "telemetry consumes engine output; publish through "
-                        "the tracer/metrics seam (repro.obs.trace, "
-                        "repro.obs.metrics) or the probe API instead",
+                        f"repro.sim must not import '{module}': the "
+                        "telemetry stream consumes engine output; publish "
+                        "through the metrics registry (repro.obs.metrics) "
+                        "or the probe API instead",
                     )

@@ -4,11 +4,11 @@
 sweep loops; a stray debugging ``print()`` there interleaves garbage
 into the CLI's progress line from several processes at once and is
 invisible in any structured record of the run.  Diagnostics from those
-layers belong in the observability stack instead: a counter/instant on
-the ambient tracer (:mod:`repro.obs.trace`), a metric on the registry
+layers belong in the observability stack instead: a record on the
+ambient publisher (:mod:`repro.obs.live`), a metric on the registry
 (:mod:`repro.obs.metrics`), or a structured decision record
 (:meth:`repro.core.controller.BaseController.note_decision`) — all of
-which survive into the trace file and ``repro trace summarize``.
+which survive into the run's event stream and ``repro trace summarize``.
 
 The rule is a *warning* (reported, does not fail the lint run) and
 flags only calls of the ``print`` builtin; writing to an explicit
@@ -54,7 +54,7 @@ class NoPrintRule(LintRule):
                     ctx,
                     node,
                     "bare print() in a simulation layer; emit through the "
-                    "tracer/metrics registry (repro.obs) or a structured "
+                    "publisher/metrics registry (repro.obs) or a structured "
                     "decision record instead, or add '# repro: noqa[R007]' "
                     "for a deliberate console escape hatch",
                 )

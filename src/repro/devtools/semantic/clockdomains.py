@@ -1,26 +1,23 @@
 """R013 clock-domain separation: sim cycles never meet wall-clock time.
 
 The tree runs on two clocks.  The simulator advances in *cycles* (the
-calendar wheel, DRAM timing, window boundaries); the tracer measures
-*wall-clock* time (``time.perf_counter`` microseconds).  The Chrome
-export deliberately maps sim events onto the trace's µs axis at
-1 cycle = 1 µs — a *conversion boundary*, not an equality — and the
-tracer's two-clock event constructor accepts timestamps from either
-clock by design.
+calendar wheel, DRAM timing, window boundaries); the telemetry stream
+measures host *wall-clock* time (``time.perf_counter`` seconds).  The
+Chrome export deliberately maps sim events onto the trace's µs axis at
+1 cycle = 1 µs — a *conversion boundary*, not an equality.
 
 Everywhere else, arithmetic that combines a cycle-dimensioned quantity
 with a wall-dimensioned one (``+``, ``-``, ``*``, ``/``, ``//``, ``%``
 or an ordering comparison) is an error: there is no physical conversion
 between simulated time and host time, so such an expression is a bug by
 construction (PR 6's event folds made several cycle quantities flow
-through code that also handles tracer timestamps, which is exactly how
-this mix happens).
+through code that also handles wall-clock timestamps, which is exactly
+how this mix happens).
 
 The dataflow engine lives in :mod:`repro.devtools.semantic.units`; this
 rule packages its ``kind == "clock"`` findings.  The allowlisted
 boundaries are :data:`~repro.devtools.semantic.units
-.CLOCK_BOUNDARY_MODULES` and :data:`~repro.devtools.semantic.units
-.CLOCK_BOUNDARY_FUNCS`.
+.CLOCK_BOUNDARY_MODULES`.
 """
 
 from __future__ import annotations

@@ -128,9 +128,7 @@ IMPURE_KINDS = frozenset({
 #: place here only when its entropy can never reach simulated state.
 TELEMETRY_BOUNDARY = frozenset({
     "repro.exec.pool",      # worker timing, REPRO_JOBS sizing
-    "repro.obs.trace",      # span timestamps
-    "repro.obs.metrics",    # timer instruments
-    "repro.obs.live",       # stream heartbeats
+    "repro.obs.live",       # span timing, record timestamps, heartbeats
     "repro.obs.dashboard",  # render clock
     "repro.obs.chrome",     # trace-viewer timestamps
     "repro.obs.bench",      # benchmark timing

@@ -2,7 +2,7 @@
 
 :func:`repro.exec.pool.run_jobs` executes worker functions in forked or
 spawned processes.  Anything a worker does to *process-global* state —
-mutating a module-level dict, installing an ambient tracer, appending to
+mutating a module-level dict, installing an ambient registry, appending to
 a shared list — happens in the child's copy of the interpreter and is
 silently discarded when the worker exits.  The classic failure mode is a
 cache or counter that works perfectly under ``n_jobs=1`` (the serial
@@ -20,9 +20,10 @@ The rule works on the :class:`~repro.devtools.semantic.graph.ProjectGraph`:
      module or through an import;
    * rebinding or augmenting a name declared ``global`` (same loss, by
      assignment instead of mutation);
-   * calls to the ambient-state installers (``set_tracer`` /
-     ``set_metrics``) — the parent's tracer never sees spans installed
-     in a child;
+   * calls to the ambient-state installer ``set_metrics`` — the parent
+     never sees counters landing in a registry installed in a child
+     (a worker's ``set_publisher`` is the sanctioned exception: its
+     records cross back to the parent over the stream's queue);
    * raw file writes (``open(..., "w")``, ``Path.write_text`` /
      ``write_bytes``) outside :mod:`repro.obs.io` — concurrent workers
      sharing a path need the atomic-replace helpers, not independent
@@ -54,7 +55,6 @@ ANALYSIS_VERSION = 1
 #: Resolved callees that install ambient per-process state.  A worker
 #: calling one of these configures only its own child process.
 _AMBIENT_INSTALLERS = {
-    "repro.obs.trace.set_tracer": "set_tracer",
     "repro.obs.metrics.set_metrics": "set_metrics",
 }
 

@@ -524,13 +524,6 @@ _CLOCK_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod)
 #: 1 cycle = 1 µs).
 CLOCK_BOUNDARY_MODULES = frozenset({"repro.obs.chrome"})
 
-#: Function keys ("module.qualname") allowed to mix clocks: the
-#: tracer's two-clock event constructor and its wall-span plumbing.
-CLOCK_BOUNDARY_FUNCS = frozenset({
-    "repro.obs.trace.Tracer.complete",
-    "repro.obs.trace.Event.__init__",
-})
-
 _OP_SYMBOL = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
     ast.FloorDiv: "//", ast.Mod: "%", ast.Lt: "<", ast.LtE: "<=",
@@ -966,9 +959,7 @@ class _Checker:
         return result if result is not None else UNKNOWN
 
     def _at_clock_boundary(self) -> bool:
-        if self.module in CLOCK_BOUNDARY_MODULES:
-            return True
-        return f"{self.module}.{self._qualname}" in CLOCK_BOUNDARY_FUNCS
+        return self.module in CLOCK_BOUNDARY_MODULES
 
     def _report(self, kind: str, node: ast.AST, message: str) -> None:
         self.findings.append(UnitFinding(
@@ -1196,10 +1187,7 @@ def units_graph_doc(project: "ProjectContext") -> dict[str, Any]:
             "exact": {k: str(u) for k, u in sorted(_EXACT_NAMES.items())},
             "suffixes": {s: str(u) for s, u in _SUFFIXES},
         },
-        "clock_boundaries": {
-            "modules": sorted(CLOCK_BOUNDARY_MODULES),
-            "functions": sorted(CLOCK_BOUNDARY_FUNCS),
-        },
+        "clock_boundaries": {"modules": sorted(CLOCK_BOUNDARY_MODULES)},
         "checked_modules": analysis["checked"],
         "coverage": {
             "functions_total": total_fns,

@@ -23,23 +23,19 @@ job's duration up to the failure, and the worker-side traceback text
 ``KeyboardInterrupt`` is never wrapped: it cancels the outstanding
 futures and propagates as itself.
 
-Telemetry: when the ambient tracer (:func:`repro.obs.get_tracer`) is
-enabled, every job is timed *inside* the worker process and recorded as
-a ``cat="job"`` span carrying the worker's pid and its queue wait (time
-between submission and the worker actually starting, i.e. time spent
-waiting for a pool slot).  Progress callbacks may opt into per-job
-timing by accepting a fourth argument: ``progress(done, total, spec,
-elapsed_s)``; three-argument callbacks keep working unchanged, and
-:class:`ProgressThrottle` wraps either kind to cap the redraw rate.
-
-Live telemetry: when the ambient publisher (:func:`repro.obs.live.
+Telemetry: when the ambient publisher (:func:`repro.obs.live.
 get_publisher`) is enabled, each pool worker is initialized with its
 own :class:`~repro.obs.live.QueuePublisher` onto the parent's queue and
-every job streams lifecycle records, per-window counters, optional
-cProfile hot frames, and a metrics-registry snapshot back to the
-collector as it completes — see :mod:`repro.obs.live`.  With the
-default :class:`~repro.obs.live.NullPublisher` the entire machinery is
-one attribute read.
+every job — pooled or serial — streams its lifecycle (``job_start``,
+then ``job_done`` with the job's own wall time and the pid that ran it,
+or ``job_fail``), per-window counters, optional cProfile hot frames,
+and a metrics-registry snapshot back to the collector as it completes —
+see :mod:`repro.obs.live`.  With the default
+:class:`~repro.obs.live.NullPublisher` the entire machinery is one
+attribute read.  Progress callbacks may opt into per-job timing by
+accepting a fourth argument: ``progress(done, total, spec,
+elapsed_s)``; three-argument callbacks keep working unchanged, and
+:class:`ProgressThrottle` wraps either kind to cap the redraw rate.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from repro.obs.live import (
     set_publisher,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
 
 __all__ = [
     "JOBS_ENV_VAR",
@@ -179,18 +174,6 @@ def _job_name(spec: object) -> str:
     return f"job:{type(spec).__name__}"
 
 
-def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
-    """Pool worker wrapper: run the job and report its own wall time.
-
-    Returns ``(result, elapsed_seconds, worker_pid)`` so the parent can
-    separate compute time from queue wait and attribute the job to a
-    worker track in the trace.  Module-level so it pickles.
-    """
-    t0 = time.perf_counter()
-    value = worker(spec)
-    return value, time.perf_counter() - t0, os.getpid()
-
-
 class ProgressThrottle:
     """Rate-limits a progress callback to one delivery per interval.
 
@@ -253,15 +236,20 @@ def _init_live_worker(channel: object, config: dict) -> None:
         set_engine_profiling(True)
 
 
-def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
-    """Like :func:`_timed_call`, but streaming telemetry as it goes.
+def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float]:
+    """Run one job and report ``(result, elapsed_seconds)``.
 
-    Publishes the job lifecycle (start/done/fail), stride-capped window
-    records from the job's result, cProfile hot frames when profiling,
-    and — in pool workers — the metrics-registry delta accumulated by
-    the job, then a throttled heartbeat.  Module-level so it pickles.
+    With the ambient publisher enabled it also streams the job: its
+    lifecycle (start/done/fail), window records from its result,
+    cProfile hot frames when profiling, and — in pool workers — the
+    metrics-registry delta accumulated by the job, then a throttled
+    heartbeat.  Module-level so it pickles.
     """
     publisher = get_publisher()
+    if not publisher.enabled:
+        t0 = time.perf_counter()
+        value = worker(spec)
+        return value, time.perf_counter() - t0
     pid = os.getpid()
     name = _job_name(spec)
     publisher.publish({"type": "job_start", "job": name, "pid": pid})
@@ -296,9 +284,7 @@ def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
     # evaluations — so workers publish window records only for bare
     # SimResults (alone/surface jobs).
     if not hasattr(getattr(value, "result", None), "windows"):
-        for record in result_records(
-            value, getattr(spec, "tag", None), window_cap=publisher.window_cap
-        ):
+        for record in result_records(value, getattr(spec, "tag", None)):
             publisher.publish(record)
     if prof is not None:
         publisher.publish(
@@ -306,7 +292,7 @@ def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
                 "type": "profile",
                 "job": name,
                 "pid": pid,
-                "frames": profile_frames(prof, top=publisher.profile_top),
+                "frames": profile_frames(prof),
             }
         )
     if publisher.worker:
@@ -314,14 +300,9 @@ def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
         # ambient registry.  The parent/serial path skips this — its
         # registry *is* the ambient one, nothing to ship.
         registry = get_metrics()
-        snapshot = registry.snapshot(timelines=True)
+        snapshot = registry.snapshot()
         registry.reset()
-        if (
-            snapshot["counters"]
-            or snapshot["gauges"]
-            or snapshot["timers"]
-            or snapshot.get("timeline_points")
-        ):
+        if snapshot["counters"] or snapshot["gauges"]:
             publisher.publish(
                 {
                     "type": "metrics",
@@ -330,7 +311,7 @@ def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
                 }
             )
     publisher.heartbeat()
-    return value, elapsed, pid
+    return value, elapsed
 
 
 def _notify(
@@ -367,15 +348,14 @@ def run_jobs(
     if total == 0:
         return []
     n_jobs = resolve_jobs(n_jobs)
-    tracer = get_tracer()
     publisher = get_publisher()
     live = publisher.enabled
     with_elapsed = progress is not None and _accepts_elapsed(progress)
 
-    # The batch record seeds the dashboard's total/ETA.  Only the
-    # parent-side publisher announces it: a worker's own nested
-    # run_jobs (rare — cache hits short-circuit) would otherwise
-    # inflate the sweep total.
+    # The batch record seeds the dashboard's total/ETA and the summary's
+    # queue waits.  Only the parent-side publisher announces it: a
+    # worker's own nested run_jobs (rare — cache hits short-circuit)
+    # would otherwise inflate the sweep total.
     if live and not publisher.worker:
         publisher.publish({"type": "batch", "total": total})
 
@@ -384,39 +364,19 @@ def run_jobs(
         for done, spec in enumerate(specs, start=1):
             t0 = time.perf_counter()
             try:
-                if live:
-                    value, elapsed, _pid = _live_timed_call(worker, spec)
-                else:
-                    value = worker(spec)
-                    elapsed = time.perf_counter() - t0
-                results.append(value)
+                value, elapsed = _timed_call(worker, spec)
             except Exception as exc:
                 raise JobError(
                     spec, exc, duration=time.perf_counter() - t0
                 ) from exc
-            if tracer.enabled:
-                dur_us = elapsed * 1e6
-                tracer.complete(
-                    _job_name(spec),
-                    ts=tracer.now_us() - dur_us,
-                    dur=dur_us,
-                    cat="job",
-                    worker="main",
-                    queue_wait_s=0.0,
-                )
+            results.append(value)
             _notify(progress, with_elapsed, done, total, spec, elapsed)
         return results
 
     # Worker-side timing is only worth the extra pickling when someone
-    # consumes it: an enabled tracer, an elapsed-aware callback, or the
-    # live stream (whose wrapper returns the same timed tuple).
-    timed = tracer.enabled or with_elapsed or live
-    if live:
-        call = partial(_live_timed_call, worker)
-    elif timed:
-        call = partial(_timed_call, worker)
-    else:
-        call = worker
+    # consumes it: an elapsed-aware callback or the stream.
+    timed = with_elapsed or live
+    call = partial(_timed_call, worker) if timed else worker
     pool_kwargs: dict = {}
     if live:
         # fork-inherited queue: the initializer installs a worker-side
@@ -444,21 +404,7 @@ def run_jobs(
                         duration=time.perf_counter() - submitted,
                     ) from exc
                 if timed:
-                    value, elapsed, worker_pid = value  # type: ignore[misc]
-                    if tracer.enabled:
-                        wait = max(
-                            0.0,
-                            time.perf_counter() - submitted - elapsed,
-                        )
-                        dur_us = elapsed * 1e6
-                        tracer.complete(
-                            _job_name(specs[i]),
-                            ts=tracer.now_us() - dur_us,
-                            dur=dur_us,
-                            cat="job",
-                            worker=worker_pid,
-                            queue_wait_s=round(wait, 6),
-                        )
+                    value, elapsed = value  # type: ignore[misc]
                 else:
                     elapsed = time.perf_counter() - submitted
                 slots[i] = value  # type: ignore[assignment]

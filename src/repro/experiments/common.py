@@ -41,8 +41,8 @@ from repro.core.runner import (
 from repro.exec.jobs import SimJob, run_sim_job
 from repro.exec.pool import ProgressFn, run_jobs
 from repro.obs.io import atomic_write_text
+from repro.obs.live import get_publisher
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
 from repro.sim import SimResult, WindowSample
 from repro.workloads.synthetic import AppProfile
 from repro.workloads.table4 import app_by_abbr
@@ -302,7 +302,7 @@ class ExperimentContext:
             jobs = [
                 job for i in missing for job in self._alone_jobs(apps[i], n_cores)
             ]
-            with get_tracer().span(
+            with get_publisher().span(
                 "profile_alone",
                 apps=[apps[i].abbr for i in missing],
                 n_jobs=len(jobs),
@@ -334,7 +334,7 @@ class ExperimentContext:
                 tuple(json.loads(combo)): _result_from_dict(res)
                 for combo, res in cached.items()
             }
-        with get_tracer().span(
+        with get_publisher().span(
             "profile_surface", workload="_".join(a.abbr for a in apps)
         ):
             surface = profile_surface(
@@ -474,7 +474,7 @@ class ExperimentContext:
                 )
                 for s in missing
             ]
-            with get_tracer().span(
+            with get_publisher().span(
                 "evaluate_schemes",
                 workload="_".join(a.abbr for a in apps),
                 schemes=list(missing),
@@ -484,10 +484,10 @@ class ExperimentContext:
                     n_jobs=self.n_jobs, progress=self.progress,
                 )
             results.update(zip(missing, computed))
-        # Emit telemetry in the parent process: pool workers and cache
-        # loads both bypass the ambient tracer, but the window/decision
-        # logs ride on every SchemeResult, so replaying them here yields
-        # the same trace regardless of where the evaluation ran.
+        # Emit telemetry in the parent process: the window/decision logs
+        # ride on every SchemeResult, so replaying them here yields the
+        # same stream whether the evaluation ran in a pool worker, in
+        # process, or came from the cache.
         for s in schemes:
             emit_scheme_events(results[s])
         return {s: results[s] for s in schemes}

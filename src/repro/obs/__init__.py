@@ -1,24 +1,23 @@
-"""repro.obs — structured tracing, metrics, manifests, live telemetry.
+"""repro.obs — the telemetry stream, metrics, manifests, and its folds.
 
-A *leaf* package: stdlib-only, imported freely from ``repro.sim``,
-``repro.core``, ``repro.exec``, and ``repro.experiments`` without
-creating layering violations (lint rule R004) or import cycles.  Two
-modules are the exception to "freely": :mod:`repro.obs.live` and
-:mod:`repro.obs.dashboard` sit *above* the simulator — they consume its
-outputs — so R004 forbids ``repro.sim`` from importing them (the engine
-reaches observability only through the tracer/metrics seam).
+A *leaf* package: stdlib-only, imported freely from ``repro.core``,
+``repro.exec``, and ``repro.experiments`` without creating layering
+violations (lint rule R004) or import cycles.  The simulator reaches
+observability only through the metrics registry: the stream and its
+folds sit *above* it (they consume its outputs), so R004 forbids
+``repro.sim`` from importing them.
 
-* :mod:`repro.obs.trace` — span/instant/counter events in two clock
-  domains (host wall time, simulated cycles), JSONL serialization.
-* :mod:`repro.obs.metrics` — ambient counters/gauges/timers/timelines,
-  with cross-process ``merge()`` for worker snapshots.
-* :mod:`repro.obs.live` — real-time NDJSON telemetry: worker publishers,
-  the parent-side collector, schema validation, profiling frames.
-* :mod:`repro.obs.dashboard` — live TTY dashboard / ``repro watch``.
-* :mod:`repro.obs.bench` — perf-history ledger for ``bench history``.
-* :mod:`repro.obs.chrome` — Chrome trace-event export for Perfetto.
+* :mod:`repro.obs.live` — the one NDJSON record stream of a traced run:
+  its schema and validator, the ambient publishers (host spans, job
+  lifecycle, windows, decisions, profiling frames), and the parent-side
+  collector that is its only writer.
+* :mod:`repro.obs.metrics` — ambient counters/gauges, with
+  cross-process ``merge()`` for worker snapshots.
+* :mod:`repro.obs.chrome` — fold: Chrome trace-event export for Perfetto.
+* :mod:`repro.obs.summarize` — fold: offline ``repro trace summarize``.
+* :mod:`repro.obs.dashboard` — fold: live TTY dashboard / ``repro watch``.
 * :mod:`repro.obs.manifest` — per-run provenance manifests.
-* :mod:`repro.obs.summarize` — offline ``repro trace summarize``.
+* :mod:`repro.obs.bench` — perf-history ledger for ``bench history``.
 * :mod:`repro.obs.io` — atomic file publication and JSONL reading.
 """
 
@@ -37,6 +36,7 @@ from repro.obs.live import (
     LiveHub,
     NullPublisher,
     QueuePublisher,
+    STREAM_FILENAME,
     get_publisher,
     live_header,
     load_live,
@@ -54,41 +54,20 @@ from repro.obs.manifest import (
     git_revision,
     validate_manifest,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    TimelinePoint,
-    get_metrics,
-    set_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.summarize import (
     decision_log,
     job_stats,
     resolve_trace_path,
     span_totals,
+    stream_stats,
     summarize,
     summary_data,
     window_timelines,
 )
-from repro.obs.trace import (
-    CLOCK_CYCLES,
-    CLOCK_WALL,
-    Event,
-    NullTracer,
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    get_tracer,
-    load_trace,
-    parse_events,
-    set_tracer,
-    tracing,
-)
 
 __all__ = [
-    "CLOCK_CYCLES",
-    "CLOCK_WALL",
     "Dashboard",
-    "Event",
     "JsonlAppender",
     "LIVE_SCHEMA",
     "LIVE_SCHEMA_VERSION",
@@ -97,14 +76,10 @@ __all__ = [
     "MANIFEST_FILENAME",
     "MetricsRegistry",
     "NullPublisher",
-    "NullTracer",
     "QueuePublisher",
     "REQUIRED_FIELDS",
     "RunManifest",
-    "TRACE_SCHEMA",
-    "TRACE_SCHEMA_VERSION",
-    "TimelinePoint",
-    "Tracer",
+    "STREAM_FILENAME",
     "append_bench_history",
     "append_jsonl",
     "atomic_write_text",
@@ -113,15 +88,12 @@ __all__ = [
     "decision_log",
     "get_metrics",
     "get_publisher",
-    "get_tracer",
     "git_revision",
     "job_stats",
     "live_header",
     "load_bench_baseline",
     "load_bench_history",
     "load_live",
-    "load_trace",
-    "parse_events",
     "parse_live",
     "profile_frames",
     "read_jsonl",
@@ -131,8 +103,8 @@ __all__ = [
     "result_records",
     "set_metrics",
     "set_publisher",
-    "set_tracer",
     "span_totals",
+    "stream_stats",
     "summarize",
     "summary_data",
     "validate_live_record",

@@ -5,7 +5,7 @@ sweep — jobs done/failed/active, per-(workload, scheme, app) window
 signals, worker liveness, decision counts.  :class:`Dashboard` renders
 that state: on a terminal as a multi-line panel redrawn in place (ANSI
 cursor-up + erase), elsewhere as plain append-only log lines so piped
-output stays readable.  :func:`watch` tails a ``live.ndjson`` file into
+output stays readable.  :func:`watch` tails a run's event stream into
 a dashboard — the implementation of ``repro watch RUN`` — following the
 file until its ``stream_end`` record (the stream is still being written
 by a running sweep) or just replaying it when ``follow=False``.
@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Callable, TextIO
 
-from repro.obs.live import LIVE_SCHEMA, LIVE_SCHEMA_VERSION
+from repro.obs.live import parse_live
 
 __all__ = ["Dashboard", "LiveState", "render_lines", "watch"]
 
@@ -53,6 +53,8 @@ class LiveState:
         self.workers: set[int] = set()
         #: (workload, scheme, app) -> latest window record
         self.latest_window: dict[tuple[str, str, int], dict] = {}
+        #: (workload, scheme, app) -> windows seen so far
+        self.series_windows: dict[tuple[str, str, int], int] = {}
         #: most recent decision record, if any
         self.last_decision: dict | None = None
         #: most recent tenancy (roster-change) record, if any
@@ -94,6 +96,7 @@ class LiveState:
                 int(record["app"]),
             )
             self.latest_window[key] = record
+            self.series_windows[key] = self.series_windows.get(key, 0) + 1
             self.window_count += 1
         elif rtype == "decision":
             self.decision_count += 1
@@ -148,9 +151,11 @@ def render_lines(state: LiveState) -> list[str]:
     for pid, job in sorted(state.active.items())[:_MAX_ACTIVE_ROWS]:
         lines.append(f"  run  pid {pid}: {job}")
     series = sorted(state.latest_window.items())
-    for (workload, scheme, app_id), w in series[:_MAX_SERIES_ROWS]:
+    for key, w in series[:_MAX_SERIES_ROWS]:
+        workload, scheme, app_id = key
         lines.append(
-            f"  {workload} {scheme} app{app_id} @{w['cycle']:>9.0f}  "
+            f"  {workload} {scheme} app{app_id} x{state.series_windows[key]}"
+            f" @{w['cycle']:>9.0f}  "
             f"IPC {w['ipc']:.3f}  EB {w['eb']:.3f}  BW {w['bw']:.3f}  "
             f"CMR {w['cmr']:.3f}"
         )
@@ -264,7 +269,7 @@ def watch(
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> LiveState:
-    """Tail a ``live.ndjson`` file into a dashboard; return final state.
+    """Tail a stream file into a dashboard; return final state.
 
     With ``follow=True`` the file is polled until its ``stream_end``
     record arrives (or ``timeout_s`` elapses — ``None`` waits forever);
@@ -287,13 +292,10 @@ def watch(
                         continue
                     record = json.loads(line)
                     if not header_seen:
-                        if record.get("schema") != LIVE_SCHEMA or (
-                            record.get("version") != LIVE_SCHEMA_VERSION
-                        ):
-                            raise ValueError(
-                                f"{path}: not a {LIVE_SCHEMA} "
-                                f"v{LIVE_SCHEMA_VERSION} stream"
-                            )
+                        try:
+                            parse_live([record])  # the schema header
+                        except ValueError as exc:
+                            raise ValueError(f"{path}: {exc}") from None
                         if not dash.state.run_id:
                             dash.state.run_id = str(record.get("run_id", ""))
                         header_seen = True

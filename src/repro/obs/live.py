@@ -1,35 +1,34 @@
-"""Real-time telemetry: streaming worker events to the parent and disk.
+"""The telemetry stream: one record schema, one writer, ambient publishers.
 
-The post-mortem observability stack (:mod:`repro.obs.trace` + manifest)
-answers "what happened" after a run finishes; this module answers "what
-is happening" while a sweep is still going.  The pipeline:
+Every traced run writes exactly one NDJSON file, ``events.ndjson``,
+and everything else is a fold of it: the Chrome/Perfetto export
+(:mod:`repro.obs.chrome`), ``repro trace summarize``
+(:mod:`repro.obs.summarize`), ``repro watch`` (:mod:`repro.obs.dashboard`)
+and the manifest's per-phase timings.  The pipeline:
 
-* **Workers publish.**  A :class:`QueuePublisher` installed in each pool
-  worker (by :func:`repro.exec.pool`'s initializer) pushes small JSON
-  records — job lifecycle, per-window EB/BW/CMR/IPC counters, controller
-  decisions, open-system tenancy changes, profiling frames, metrics
-  snapshots, heartbeats — onto a
-  ``multiprocessing`` queue.  Publishing never blocks simulation: a full
-  queue drops the record and counts the drop.
-* **The parent collects.**  A :class:`LiveHub` owns the queue, drains it
+* **Processes publish.**  Library code calls :func:`get_publisher` and
+  publishes small JSON records — host spans, job lifecycle, per-window
+  EB/BW/CMR/IPC samples, controller decisions with their full detail,
+  open-system tenancy changes, profiling frames, metrics snapshots,
+  heartbeats.  A :class:`QueuePublisher` installed in each pool worker
+  (by :func:`repro.exec.pool`'s initializer) and one in the parent push
+  them onto a ``multiprocessing`` queue.  Publishing never blocks
+  simulation: a full queue drops the record and counts the drop.
+* **The parent writes.**  A :class:`LiveHub` owns the queue, drains it
   on a daemon thread, validates each record against the versioned
-  schema, appends it to ``live.ndjson`` in the trace run directory
-  (single-writer streaming via :class:`repro.obs.io.JsonlAppender`),
-  folds worker ``metrics`` snapshots into the ambient
-  :class:`~repro.obs.metrics.MetricsRegistry` (labelled per worker), and
-  turns ``profile`` records into ``cat="profile"`` tracer instants so
-  hot frames land in the Perfetto export.
-* **Consumers tail.**  The live dashboard (:mod:`repro.obs.dashboard`)
-  consumes the stream in-process through the hub's ``on_record``
-  callback, or out-of-process by tailing ``live.ndjson`` (``repro watch
-  RUN``).
+  schema, appends it to the stream (single-writer streaming via
+  :class:`repro.obs.io.JsonlAppender`), and folds worker ``metrics``
+  snapshots into the ambient :class:`~repro.obs.metrics.MetricsRegistry`
+  (labelled per worker).
+* **Consumers fold.**  The live dashboard consumes records in-process
+  through the hub's ``on_record`` callback, or out-of-process by
+  tailing the file (``repro watch RUN``); the offline folds read the
+  finished file.
 
-Like tracing, live telemetry is ambient and opt-in: library code calls
-:func:`get_publisher` and checks ``publisher.enabled`` — the default
-:class:`NullPublisher` makes the disabled path one attribute read, the
-same discipline as :class:`~repro.obs.trace.NullTracer`.  The stream is
-observational only: results are never routed through it, so a published
-run is byte-identical to a silent one.
+Telemetry is ambient and opt-in: the default :class:`NullPublisher`
+makes the disabled path one attribute read (``publisher.enabled``).
+The stream is observational only: results are never routed through it,
+so a published run is byte-identical to a silent one.
 """
 
 from __future__ import annotations
@@ -38,20 +37,23 @@ import os
 import queue as queue_mod
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, ContextManager, Iterator, Protocol
 
 from repro.obs.io import JsonlAppender, read_jsonl
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
 
 __all__ = [
+    "HEARTBEAT_S",
     "LIVE_SCHEMA",
     "LIVE_SCHEMA_VERSION",
     "LIVE_RECORD_TYPES",
     "LiveHub",
     "NullPublisher",
+    "PROFILE_TOP",
     "QueuePublisher",
+    "STREAM_FILENAME",
     "get_publisher",
     "live_header",
     "load_live",
@@ -64,7 +66,17 @@ __all__ = [
 
 #: Schema identifier written as the first NDJSON line of every stream.
 LIVE_SCHEMA = "repro.obs.live"
-LIVE_SCHEMA_VERSION = 1
+#: v2: host ``span`` and sim ``probe`` records, decisions with their
+#: full detail, uncapped windows — the one stream of a traced run.
+LIVE_SCHEMA_VERSION = 2
+
+#: The stream's file name inside a traced run's directory.
+STREAM_FILENAME = "events.ndjson"
+
+#: A publisher emits at most one heartbeat per this many wall seconds.
+HEARTBEAT_S = 1.0
+#: Hot frames kept per cProfile'd job.
+PROFILE_TOP = 10
 
 #: Required fields (and their types) per record type.  Records may carry
 #: extra fields — the schema pins what consumers can rely on, producers
@@ -78,13 +90,20 @@ _RECORD_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "job_start": {"job": str, "pid": int},
     "job_done": {"job": str, "pid": int, "elapsed_s": (int, float)},
     "job_fail": {"job": str, "pid": int, "error": str},
+    # one host phase (wall clock): ``t0`` unix seconds at entry, nesting
+    # ``depth`` within its process (pool workers start at 1)
+    "span": {
+        "name": str, "cat": str, "pid": int, "depth": int,
+        "t0": (int, float), "dur_s": (int, float),
+    },
     # one per-app controller-window sample (cycle-stamped)
     "window": {
         "workload": str, "scheme": str, "app": int,
         "cycle": (int, float), "eb": (int, float), "bw": (int, float),
         "cmr": (int, float), "ipc": (int, float),
     },
-    # one controller decision (cycle-stamped)
+    # one controller decision (cycle-stamped), with the controller's
+    # detail (PBS: ``combo``, ``objective``, ``ebs``, ...) alongside
     "decision": {
         "workload": str, "scheme": str, "kind": str, "cycle": (int, float),
     },
@@ -94,7 +113,9 @@ _RECORD_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
         "workload": str, "scheme": str, "event": str, "app": int,
         "cycle": (int, float), "roster": list,
     },
-    # liveness signal, throttled to the publisher's heartbeat interval
+    # one sample of a simulator probe (repro.sim.probes), cycle-stamped
+    "probe": {"name": str, "cycle": (int, float), "values": dict},
+    # liveness signal, throttled to HEARTBEAT_S
     "heartbeat": {"pid": int},
     # top-N hot frames of one cProfile'd job:
     # ``[[label, cum_s, self_s, calls], ...]``
@@ -112,7 +133,7 @@ _CLOSE_TYPE = "__close__"
 
 
 def live_header(run_id: str) -> dict:
-    """The schema header record of one live stream."""
+    """The schema header record of one stream."""
     return {
         "schema": LIVE_SCHEMA,
         "version": LIVE_SCHEMA_VERSION,
@@ -162,7 +183,7 @@ def parse_live(records: list[dict]) -> tuple[dict, list[dict]]:
 
 
 def load_live(path: Path) -> tuple[dict, list[dict]]:
-    """Read and validate a ``live.ndjson`` file."""
+    """Read and validate a stream file."""
     return parse_live(read_jsonl(Path(path)))
 
 
@@ -173,32 +194,34 @@ class Publisher(Protocol):  # pragma: no cover - typing aid only
     enabled: bool
     worker: bool
     profile: bool
-    window_cap: int
-    profile_top: int
 
     def publish(self, record: dict) -> None: ...
     def heartbeat(self) -> None: ...
+    def span(self, name: str, cat: str = "host", **args: object) -> ContextManager[None]: ...
+
+
+_NULL_SPAN = nullcontext()
 
 
 class NullPublisher:
     """The disabled publisher: every operation is a no-op.
 
     Hot paths guard emission on ``publisher.enabled``, so a silent run
-    pays one attribute read — the :class:`~repro.obs.trace.NullTracer`
-    discipline.
+    pays one attribute read and never materializes a record.
     """
 
     enabled = False
     worker = False
     profile = False
-    window_cap = 0
-    profile_top = 0
 
     def publish(self, record: dict) -> None:
         return None
 
     def heartbeat(self) -> None:
         return None
+
+    def span(self, name: str, cat: str = "host", **args: object) -> nullcontext:
+        return _NULL_SPAN
 
 
 class QueuePublisher:
@@ -208,13 +231,9 @@ class QueuePublisher:
     by the pool initializer) and one in the parent (``worker=False``,
     owned by the :class:`LiveHub`) so the serial executor path streams
     through the same transport.  Throttling is the publisher's job:
-
-    * ``publish`` never blocks — a full queue drops the record (counted
-      in ``dropped``; telemetry loss must never slow simulation);
-    * ``heartbeat`` emits at most one record per ``heartbeat_s`` of wall
-      time;
-    * window records are stride-capped to ``window_cap`` samples per
-      job by :func:`result_records`.
+    ``publish`` never blocks — a full queue drops the record (counted
+    in ``dropped``; telemetry loss must never slow simulation) — and
+    ``heartbeat`` emits at most one record per :data:`HEARTBEAT_S`.
     """
 
     enabled = True
@@ -225,31 +244,23 @@ class QueuePublisher:
         *,
         worker: bool = True,
         profile: bool = False,
-        heartbeat_s: float = 1.0,
-        window_cap: int = 64,
-        profile_top: int = 10,
     ) -> None:
         self.channel = channel
         self.worker = worker
         self.profile = profile
-        self.heartbeat_s = heartbeat_s
-        self.window_cap = window_cap
-        self.profile_top = profile_top
         self.sent = 0
         self.dropped = 0
         self._last_heartbeat: float | None = None
+        # A worker's spans run inside a parent-side sweep, so they nest
+        # one level below the parent's phases.
+        self._depth = 1 if worker else 0
 
     def worker_config(self) -> dict:
-        """The throttle/profiling knobs to replicate in pool workers."""
-        return {
-            "profile": self.profile,
-            "heartbeat_s": self.heartbeat_s,
-            "window_cap": self.window_cap,
-            "profile_top": self.profile_top,
-        }
+        """The settings to replicate in pool workers."""
+        return {"profile": self.profile}
 
     def publish(self, record: dict) -> None:
-        record.setdefault("t", round(time.time(), 3))
+        record.setdefault("t", round(time.time(), 6))
         try:
             self.channel.put_nowait(record)
         except queue_mod.Full:
@@ -261,13 +272,39 @@ class QueuePublisher:
         mark = time.monotonic()
         if (
             self._last_heartbeat is not None
-            and mark - self._last_heartbeat < self.heartbeat_s
+            and mark - self._last_heartbeat < HEARTBEAT_S
         ):
             return
         self._last_heartbeat = mark
         self.publish(
             {"type": "heartbeat", "pid": os.getpid(), "sent": self.sent}
         )
+
+    @contextmanager
+    def span(self, name: str, cat: str = "host", **args: object) -> Iterator[None]:
+        """Publish a ``span`` record timing the ``with`` block.
+
+        Wall time is read *inside this module*, so callers in the
+        simulation layers never touch a clock themselves.
+        """
+        t0 = time.time()
+        start = time.perf_counter()
+        depth = self._depth
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth = depth
+            self.publish({
+                "type": "span",
+                "name": name,
+                "cat": cat,
+                "pid": os.getpid(),
+                "depth": depth,
+                "t0": round(t0, 6),
+                "dur_s": round(time.perf_counter() - start, 6),
+                "args": dict(args),
+            })
 
 
 _NULL_PUBLISHER = NullPublisher()
@@ -285,8 +322,8 @@ def set_publisher(
     """Install ``publisher`` as the ambient one; return the previous.
 
     ``None`` disables (installs the shared :class:`NullPublisher`).
-    Unlike ``set_tracer``/``set_metrics``, installing a publisher inside
-    a pool worker is the *sanctioned* pattern — the whole point of a
+    Unlike ``set_metrics``, installing a publisher inside a pool worker
+    is the *sanctioned* pattern — the whole point of a
     :class:`QueuePublisher` is that its records cross the process
     boundary back to the parent.
     """
@@ -299,10 +336,8 @@ def set_publisher(
 # --- record builders ----------------------------------------------------
 
 
-def result_records(
-    value: object, tag: tuple | None = None, *, window_cap: int = 64
-) -> list[dict]:
-    """Window/decision stream records from one simulation product.
+def result_records(value: object, tag: tuple | None = None) -> list[dict]:
+    """Window/decision/tenancy records from one simulation product.
 
     Duck-typed so this leaf module never imports the simulator: a
     ``SchemeResult`` (has ``.result`` with ``.windows``, plus
@@ -310,10 +345,7 @@ def result_records(
     decision records; a bare ``SimResult`` (has ``.windows``) labels its
     windows from the job ``tag`` (e.g. ``("alone", "BLK", 8)`` or
     ``("surface", "BLK_TRD", combo)``).  Anything else yields nothing.
-
-    Windows are stride-sampled down to at most ~``window_cap`` per app
-    (the last window always included) so a long dynamic run does not
-    flood the queue; ``window_cap <= 0`` disables the cap.
+    Every window is kept, and decisions carry the controller's detail.
     """
     inner = getattr(value, "result", None)
     if inner is not None and hasattr(inner, "windows"):
@@ -331,14 +363,7 @@ def result_records(
         return []
 
     records: list[dict] = []
-    windows = list(result.windows)
-    stride = 1
-    if window_cap > 0 and len(windows) > window_cap:
-        stride = -(-len(windows) // window_cap)  # ceil division
-    last = len(windows) - 1
-    for idx, (t_cycles, samples) in enumerate(windows):
-        if idx % stride and idx != last:
-            continue
+    for t_cycles, samples in result.windows:
         for app_id in sorted(samples):
             s = samples[app_id]
             records.append({
@@ -355,13 +380,11 @@ def result_records(
     for d in decisions:
         records.append({
             "type": "decision",
+            **d,
             "workload": workload,
             "scheme": scheme,
             "kind": str(d.get("kind", "?")),
             "cycle": float(d.get("cycle", 0.0)),
-            # A roster-change research carries why it restarted; the
-            # dashboard distinguishes it from drift re-searches.
-            **({"reason": str(d["reason"])} if "reason" in d else {}),
         })
     for rec in getattr(result, "roster", None) or ():
         records.append({
@@ -378,12 +401,12 @@ def result_records(
     return records
 
 
-def profile_frames(prof: object, top: int = 10) -> list[list]:
+def profile_frames(prof: object, top: int = PROFILE_TOP) -> list[list]:
     """Top-``top`` hot frames of a finished cProfile run.
 
     Returns ``[[label, cum_s, self_s, calls], ...]`` sorted by
-    cumulative time — the payload of a ``profile`` stream record, and
-    what the hub folds into the Perfetto export as instant events.
+    cumulative time — the payload of a ``profile`` stream record, which
+    the Chrome fold renders on its own "profiling" thread.
     """
     import pstats
 
@@ -407,14 +430,15 @@ def profile_frames(prof: object, top: int = 10) -> list[list]:
 
 
 class LiveHub:
-    """Parent-side owner of one live-telemetry stream.
+    """Parent-side owner, and the only writer, of one stream.
 
     Creates the multiprocessing queue, starts the collector thread,
     writes the schema header, and exposes ``publisher`` — the parent's
     own :class:`QueuePublisher` (``worker=False``) to install as the
-    ambient publisher so the serial executor path and batch records flow
-    through the same stream.  ``close()`` stops the collector, appends
-    the ``stream_end`` record, and releases the sink; it is idempotent.
+    ambient publisher so host spans, the serial executor path and batch
+    records flow through the same stream.  ``close()`` stops the
+    collector, appends the ``stream_end`` record, and releases the sink;
+    it is idempotent.
     """
 
     def __init__(
@@ -424,9 +448,6 @@ class LiveHub:
         *,
         profile: bool = False,
         on_record: Callable[[dict], None] | None = None,
-        heartbeat_s: float = 1.0,
-        window_cap: int = 64,
-        profile_top: int = 10,
     ) -> None:
         import multiprocessing
 
@@ -436,12 +457,7 @@ class LiveHub:
             multiprocessing.get_context().Queue()
         )
         self.publisher = QueuePublisher(
-            self.queue,
-            worker=False,
-            profile=profile,
-            heartbeat_s=heartbeat_s,
-            window_cap=window_cap,
-            profile_top=profile_top,
+            self.queue, worker=False, profile=profile
         )
         self._on_record = on_record
         self._sink = JsonlAppender(self.path)
@@ -472,26 +488,11 @@ class LiveHub:
             self.invalid += 1
             return
         self.records += 1
-        rtype = record["type"]
-        if rtype == "metrics":
+        if record["type"] == "metrics":
             # Worker deltas fold into the parent's ambient registry;
             # gauges are namespaced by the worker label so two workers
             # never clobber each other.
             get_metrics().merge(record["snapshot"], label=record["label"])
-        elif rtype == "profile":
-            tracer = get_tracer()
-            if tracer.enabled:
-                for frame in record["frames"]:
-                    label, cum_s, self_s, n_calls = (list(frame) + [0] * 4)[:4]
-                    tracer.instant(
-                        f"hot:{label}",
-                        cat="profile",
-                        job=record["job"],
-                        pid=record["pid"],
-                        cum_s=cum_s,
-                        self_s=self_s,
-                        calls=n_calls,
-                    )
         self._sink.append(record)
         if self._on_record is not None:
             try:
@@ -514,7 +515,7 @@ class LiveHub:
             "records": self.records,
             "invalid": self.invalid,
             "dropped": self.publisher.dropped,
-            "t": round(time.time(), 3),
+            "t": round(time.time(), 6),
         }
         # The collector thread has exited: the single-writer handoff to
         # this thread is sequential, so the sink stays single-writer.
@@ -527,9 +528,3 @@ class LiveHub:
                 self.callback_errors += 1
         self.queue.close()
         return self.path
-
-    def __enter__(self) -> "LiveHub":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -1,57 +1,34 @@
-"""Process-local metrics: counters, gauges, timers, and timelines.
+"""Process-local metrics: counters and gauges.
 
-The registry complements the tracer: where the tracer records *events*
-for offline inspection, the registry keeps cheap *aggregates* that live
-code can read back — cache hit/miss counts, per-series window timelines,
-timer totals.  A single ambient registry (:func:`get_metrics`) is always
-on; its operations are dict updates, so even untraced runs can afford
-them on non-simulation paths (never call these from the per-cycle
-simulator hot loop).
+The registry complements the telemetry stream: where the stream
+records *events* for offline inspection, the registry keeps cheap
+*aggregates* that live code can read back — cache hit/miss counts,
+engine self-profiling counters, high-water marks.  A single ambient
+registry (:func:`get_metrics`) is always on; its operations are dict
+updates, so even untraced runs can afford them on non-simulation paths
+(never call these from the per-cycle simulator hot loop).
 
 Cross-process aggregation: pool workers each accumulate into their own
 child-process registry, which the parent can never see directly.  The
-live-telemetry collector (:mod:`repro.obs.live`) therefore ships worker
+stream collector (:mod:`repro.obs.live`) therefore ships worker
 snapshots over the event queue and folds them into the parent's ambient
-registry with :meth:`MetricsRegistry.merge` — counters and timers fold
-additively (merge is associative and commutative over them), gauges are
+registry with :meth:`MetricsRegistry.merge` — counters fold additively
+(merge is associative and commutative over them), and gauges are
 namespaced by the worker label (``name@label``) so two workers' values
-never silently clobber each other, and timeline points interleave in
-time order.
+never silently clobber each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = [
-    "MetricsRegistry",
-    "TimelinePoint",
-    "get_metrics",
-    "set_metrics",
-]
-
-
-@dataclass(frozen=True)
-class TimelinePoint:
-    """One sample of a per-application time series (t in cycles)."""
-
-    t: float
-    value: float
+__all__ = ["MetricsRegistry", "get_metrics", "set_metrics"]
 
 
 class MetricsRegistry:
-    """Named counters, gauges, timers, and per-app timelines."""
+    """Named counters and gauges."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self._timers: dict[str, dict[str, float]] = {}
-        self._timelines: dict[tuple[str, int], list[TimelinePoint]] = {}
-        #: timeline keys whose points arrived out of time order and need
-        #: a (stable) sort before they are read back
-        self._unsorted: set[tuple[str, int]] = set()
-
-    # --- counters / gauges ---------------------------------------------
 
     def inc(self, name: str, n: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -59,124 +36,34 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    # --- timers --------------------------------------------------------
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Fold one duration into timer ``name`` (count/total/max)."""
-        slot = self._timers.setdefault(
-            name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        slot["count"] += 1
-        slot["total_s"] += seconds
-        slot["max_s"] = max(slot["max_s"], seconds)
-
-    def timer(self, name: str) -> dict[str, float]:
-        return dict(self._timers.get(name, {"count": 0, "total_s": 0.0, "max_s": 0.0}))
-
-    # --- timelines -----------------------------------------------------
-
-    def record_point(self, series: str, app_id: int, t: float, value: float) -> None:
-        """Append one (t, value) sample to ``series`` for ``app_id``.
-
-        Points may arrive out of time order (merged worker snapshots
-        interleave several clocks); :meth:`timeline` returns them sorted
-        by ``t``, stably, so equal-time points keep arrival order.
-        """
-        key = (series, app_id)
-        points = self._timelines.setdefault(key, [])
-        if points and t < points[-1].t:
-            self._unsorted.add(key)
-        points.append(TimelinePoint(t, value))
-
-    def timeline(self, series: str, app_id: int) -> list[TimelinePoint]:
-        key = (series, app_id)
-        if key in self._unsorted:
-            self._timelines[key].sort(key=lambda p: p.t)
-            self._unsorted.discard(key)
-        return list(self._timelines.get(key, []))
-
-    def timeline_series(self) -> list[tuple[str, int]]:
-        """Every (series, app_id) pair with at least one sample."""
-        return sorted(self._timelines)
-
-    # --- export --------------------------------------------------------
-
-    def snapshot(self, timelines: bool = False) -> dict:
-        """A JSON-serializable snapshot of every aggregate.
-
-        By default timelines are condensed to per-series sample counts
-        (the manifest-friendly shape).  With ``timelines=True`` the full
-        point data rides along under ``timeline_points`` — the shape
-        :meth:`merge` and :meth:`from_snapshot` consume, so a worker
-        registry can cross the process boundary without loss.
-        """
-        snap = {
+    def snapshot(self) -> dict:
+        """A JSON-serializable snapshot of every aggregate."""
+        return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "timers": {k: dict(v) for k, v in sorted(self._timers.items())},
-            "timelines": {
-                f"{series}/app{app}": len(points)
-                for (series, app), points in sorted(self._timelines.items())
-            },
         }
-        if timelines:
-            snap["timeline_points"] = {
-                f"{series}/app{app}": [
-                    [p.t, p.value] for p in self.timeline(series, app)
-                ]
-                for (series, app) in sorted(self._timelines)
-            }
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MetricsRegistry":
-        """Reconstruct a registry from a full (``timelines=True``) snapshot."""
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
 
     def merge(self, snapshot: dict, label: str | None = None) -> None:
-        """Fold another registry's snapshot into this one.
+        """Fold another registry's :meth:`snapshot` into this one.
 
-        ``snapshot`` is the dict produced by :meth:`snapshot` (timeline
-        points are folded only when present, i.e. ``timelines=True``
-        snapshots).  Semantics, chosen so merging worker registries into
-        the parent is order-insensitive where it can be:
+        Semantics, chosen so merging worker registries into the parent
+        is order-insensitive where it can be:
 
-        * counters and timers fold additively — associative and
-          commutative, so any merge order yields the same totals;
+        * counters fold additively — associative and commutative, so any
+          merge order yields the same totals;
         * gauges are last-write-wins *per name*; with ``label`` the name
           becomes ``name@label``, so distinct workers' gauges coexist
           instead of colliding (merging the same label twice still
-          overwrites — one worker, one slot);
-        * timeline points interleave and read back in time order.
+          overwrites — one worker, one slot).
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)
         for name, value in snapshot.get("gauges", {}).items():
             self.set_gauge(f"{name}@{label}" if label else name, value)
-        for name, timer in snapshot.get("timers", {}).items():
-            slot = self._timers.setdefault(
-                name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            slot["count"] += timer.get("count", 0)
-            slot["total_s"] += timer.get("total_s", 0.0)
-            slot["max_s"] = max(slot["max_s"], timer.get("max_s", 0.0))
-        for key, points in snapshot.get("timeline_points", {}).items():
-            series, _, app_part = key.rpartition("/app")
-            try:
-                app_id = int(app_part)
-            except ValueError:
-                continue
-            for t, value in points:
-                self.record_point(series, app_id, t, value)
 
     def reset(self) -> None:
         self.counters.clear()
         self.gauges.clear()
-        self._timers.clear()
-        self._timelines.clear()
-        self._unsorted.clear()
 
 
 _METRICS = MetricsRegistry()

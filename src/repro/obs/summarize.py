@@ -1,10 +1,10 @@
 """Offline trace analysis: ``repro trace summarize <run>``.
 
-Reads a run directory (manifest + JSONL trace) and reconstructs the
-run's story: per-phase wall timings, sweep-job cost distribution,
-per-application EB/BW/CMR window timelines, and the PBS decision log
-(every sampled TLP pair with its objective, and the steps it took to
-converge).
+Reads a run directory (manifest + event stream) and reconstructs the
+run's story as folds of the stream's records: per-phase wall timings,
+sweep-job cost distribution, per-application EB/BW/CMR window
+timelines, and the PBS decision log (every sampled TLP pair with its
+objective, and the steps it took to converge).
 """
 
 from __future__ import annotations
@@ -12,81 +12,85 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.live import STREAM_FILENAME, load_live
 from repro.obs.manifest import MANIFEST_FILENAME, validate_manifest
-from repro.obs.trace import CLOCK_WALL, Event, load_trace
 
 __all__ = [
     "decision_log",
     "engine_counters",
     "job_stats",
-    "live_stream_stats",
     "resolve_trace_path",
     "span_totals",
+    "stream_stats",
     "summarize",
     "summary_data",
     "window_timelines",
 ]
 
-#: Default location of traced runs, relative to the repo root.
+#: Default home of traced runs (the CLI's ``--trace-dir`` default).
 TRACES_SUBDIR = Path("results") / "traces"
 
 
-def resolve_trace_path(target: str | Path, root: Path | None = None) -> Path:
-    """Resolve ``target`` to a trace JSONL file.
+def resolve_trace_path(
+    target: str | Path, trace_dir: Path | None = None
+) -> Path:
+    """Resolve ``target`` to a run's event stream file.
 
-    Accepts a trace file, a run directory containing ``trace.jsonl``,
-    or a bare run id looked up under ``results/traces/``.
+    Accepts the stream file itself, a run directory containing
+    ``events.ndjson``, or a bare run id looked up under ``trace_dir``
+    (default ``results/traces``).
     """
     path = Path(target)
     if path.is_file():
         return path
-    if path.is_dir():
-        candidate = path / "trace.jsonl"
-        if candidate.is_file():
-            return candidate
-        raise FileNotFoundError(f"no trace.jsonl under {path}")
-    base = (root or Path.cwd()) / TRACES_SUBDIR / str(target)
-    candidate = base / "trace.jsonl"
+    if not path.is_dir():
+        path = Path(trace_dir or TRACES_SUBDIR) / str(target)
+    candidate = path / STREAM_FILENAME
     if candidate.is_file():
         return candidate
     raise FileNotFoundError(
-        f"no such trace: {target!r} (tried {path} and {candidate})"
+        f"no {STREAM_FILENAME} for {str(target)!r} (tried {candidate})"
     )
 
 
-# --- aggregations -------------------------------------------------------
+# --- folds --------------------------------------------------------------
 
 
-def span_totals(events: list[Event], tid: int | None = 0) -> dict[str, dict]:
-    """Wall-span totals by name: ``{name: {count, total_s, max_s}}``.
+def span_totals(records: list[dict], depth: int | None = 0) -> dict[str, dict]:
+    """Span totals by name: ``{name: {count, total_s, max_s}}``.
 
-    ``tid=0`` restricts to top-level phases; ``tid=None`` takes all
+    ``depth=0`` restricts to top-level phases; ``depth=None`` takes all
     nesting depths.
     """
     totals: dict[str, dict] = {}
-    for e in events:
-        if e.ph != "X" or e.clock != CLOCK_WALL or e.cat == "job":
+    for r in records:
+        if r["type"] != "span" or (depth is not None and r["depth"] != depth):
             continue
-        if tid is not None and e.tid != tid:
-            continue
-        slot = totals.setdefault(e.name, {"count": 0, "total_s": 0.0, "max_s": 0.0})
+        slot = totals.setdefault(r["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0})
         slot["count"] += 1
-        slot["total_s"] += e.dur / 1e6
-        slot["max_s"] = max(slot["max_s"], e.dur / 1e6)
+        slot["total_s"] += r["dur_s"]
+        slot["max_s"] = max(slot["max_s"], r["dur_s"])
     return totals
 
 
-def job_stats(events: list[Event]) -> dict:
-    """Aggregate the ``cat="job"`` spans of the sweep executor."""
+def job_stats(records: list[dict]) -> dict:
+    """Aggregate the sweep executor's ``job_done`` records.
+
+    A job's queue wait is the wall time from its batch's submission to
+    the job's start (both publisher-stamped).
+    """
     durs: list[float] = []
     queue_wait = 0.0
-    workers: set[object] = set()
-    for e in events:
-        if e.ph != "X" or e.cat != "job":
-            continue
-        durs.append(e.dur / 1e6)
-        queue_wait += float(e.args.get("queue_wait_s", 0.0))
-        workers.add(e.args.get("worker", "main"))
+    batch_t: float | None = None
+    workers: set[int] = set()
+    for r in records:
+        if r["type"] == "batch":
+            batch_t = r.get("t")
+        elif r["type"] == "job_start" and batch_t is not None and "t" in r:
+            queue_wait += max(0.0, r["t"] - batch_t)
+        elif r["type"] == "job_done":
+            durs.append(r["elapsed_s"])
+            workers.add(r["pid"])
     return {
         "count": len(durs),
         "total_s": sum(durs),
@@ -97,49 +101,59 @@ def job_stats(events: list[Event]) -> dict:
     }
 
 
-def window_timelines(events: list[Event]) -> dict[tuple[str, str, int], list]:
-    """Per-(workload, scheme, app) EB/BW/CMR series from counter events.
+def window_timelines(records: list[dict]) -> dict[tuple[str, str, int], list]:
+    """Per-(workload, scheme, app) window series, sorted by cycle.
 
-    Counter names follow ``workload|scheme|appN``; each returned sample
-    is ``(cycle, {"eb": ..., "bw": ..., "cmr": ...})``.
+    Each sample is ``(cycle, {"eb": ..., "bw": ..., "cmr": ..., "ipc": ...})``.
     """
     series: dict[tuple[str, str, int], list] = {}
-    for e in events:
-        if e.ph != "C" or e.cat != "window":
-            continue
-        parts = e.name.split("|")
-        if len(parts) != 3 or not parts[2].startswith("app"):
-            continue
-        try:
-            app = int(parts[2][len("app"):])
-        except ValueError:
-            continue
-        series.setdefault((parts[0], parts[1], app), []).append((e.ts, e.args))
+    for r in records:
+        if r["type"] == "window":
+            values = {k: r[k] for k in ("eb", "bw", "cmr", "ipc")}
+            key = (r["workload"], r["scheme"], r["app"])
+            series.setdefault(key, []).append((r["cycle"], values))
     for samples in series.values():
         samples.sort(key=lambda s: s[0])
     return series
 
 
-def decision_log(events: list[Event]) -> dict[tuple[str, str], list]:
-    """PBS/baseline controller decisions grouped by (workload, scheme).
+def decision_log(records: list[dict]) -> dict[tuple[str, str], list]:
+    """Controller decisions grouped by (workload, scheme), by cycle.
 
-    Each entry is the instant event's args plus ``kind`` (the event name
-    with its ``pbs.``/``ctrl.`` prefix stripped) and ``cycle``.
+    Each entry is the decision's ``kind``, ``cycle`` and detail (the
+    record without its type, labels and publish time).
     """
     log: dict[tuple[str, str], list] = {}
-    for e in events:
-        if e.ph != "i" or e.cat not in ("pbs", "ctrl"):
+    for r in records:
+        if r["type"] != "decision":
             continue
-        args = dict(e.args)
-        workload = str(args.pop("workload", "?"))
-        scheme = str(args.pop("scheme", "?"))
-        kind = e.name.split(".", 1)[-1]
-        log.setdefault((workload, scheme), []).append(
-            {"kind": kind, "cycle": e.ts, **args}
-        )
+        entry = {
+            k: v for k, v in r.items()
+            if k not in ("type", "workload", "scheme", "t")
+        }
+        log.setdefault((r["workload"], r["scheme"]), []).append(entry)
     for entries in log.values():
         entries.sort(key=lambda d: d["cycle"])
     return log
+
+
+def stream_stats(records: list[dict]) -> dict:
+    """Record-type counts, plus the ``stream_end`` trailer's counts.
+
+    ``{"records", "types": {type: count}, "dropped", "invalid"}``.
+    """
+    types: dict[str, int] = {}
+    end: dict = {}
+    for r in records:
+        types[r["type"]] = types.get(r["type"], 0) + 1
+        if r["type"] == "stream_end":
+            end = r
+    return {
+        "records": len(records),
+        "types": dict(sorted(types.items())),
+        "dropped": int(end.get("dropped", 0)),
+        "invalid": int(end.get("invalid", 0)),
+    }
 
 
 def engine_counters(metrics: dict | None) -> dict:
@@ -164,108 +178,69 @@ def engine_counters(metrics: dict | None) -> dict:
     return out
 
 
-def live_stream_stats(run_dir: Path) -> dict | None:
-    """Record-type counts for the run's ``live.ndjson``, if it has one.
-
-    Returns ``None`` when the run was not live-streamed; otherwise
-    ``{"records", "types": {type: count}, "dropped", "invalid"}`` (the
-    last two from the ``stream_end`` trailer when present).
-    """
-    path = Path(run_dir) / "live.ndjson"
-    if not path.is_file():
-        return None
-    from repro.obs.live import load_live
-
+def _load_manifest(run_dir: Path) -> tuple[dict | None, list[str]]:
+    """The run's manifest and its problems; ``(None, [])`` when absent."""
+    manifest_path = run_dir / MANIFEST_FILENAME
+    if not manifest_path.is_file():
+        return None, []
     try:
-        _header, records = load_live(path)
-    except (ValueError, OSError):
-        return {"records": 0, "types": {}, "dropped": 0, "invalid": -1}
-    types: dict[str, int] = {}
-    dropped = 0
-    invalid = 0
-    for record in records:
-        rtype = str(record.get("type", "?"))
-        types[rtype] = types.get(rtype, 0) + 1
-        if rtype == "stream_end":
-            dropped = int(record.get("dropped", 0))
-            invalid = int(record.get("invalid", 0))
-    return {
-        "records": len(records),
-        "types": dict(sorted(types.items())),
-        "dropped": dropped,
-        "invalid": invalid,
-    }
+        loaded = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        return None, [f"unreadable manifest ({exc})"]
+    if not isinstance(loaded, dict):
+        return None, ["malformed manifest (not a JSON object)"]
+    return loaded, validate_manifest(loaded)
 
 
-def summary_data(target: str | Path, root: Path | None = None) -> dict:
+def summary_data(target: str | Path, trace_dir: Path | None = None) -> dict:
     """The full summary as one JSON-serializable dict (``--json``).
 
-    Mirrors every section of the text renderer — manifest (plus its
-    validation problems), phase totals, sweep-job stats, window-timeline
-    aggregates, decision counts, engine self-profiling counters, and
-    live-stream record counts — keyed stably so CI can assert on it
-    instead of scraping the human output.
+    Every section of the text renderer — manifest (plus its validation
+    problems), phase totals, sweep-job stats, window-timeline
+    aggregates, the decision log, engine self-profiling counters, and
+    stream record counts — keyed stably so CI can assert on it instead
+    of scraping the human output.
     """
-    trace_path = resolve_trace_path(target, root=root)
-    header, events = load_trace(trace_path)
-    run_dir = trace_path.parent
-
-    manifest: dict | None = None
-    manifest_problems: list[str] = []
-    manifest_path = run_dir / MANIFEST_FILENAME
-    if manifest_path.is_file():
-        try:
-            loaded = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            manifest_problems = [f"unreadable manifest: {exc}"]
-        else:
-            if isinstance(loaded, dict):
-                manifest = loaded
-                manifest_problems = validate_manifest(loaded)
-            else:
-                manifest_problems = ["manifest is not a JSON object"]
-
-    timelines = {
-        f"{workload}|{scheme}|app{app}": {
-            "windows": len(samples),
+    stream_path = resolve_trace_path(target, trace_dir)
+    header, records = load_live(stream_path)
+    manifest, manifest_problems = _load_manifest(stream_path.parent)
+    timelines = {}
+    for (workload, scheme, app), samples in sorted(window_timelines(records).items()):
+        n = len(samples)
+        timelines[f"{workload}|{scheme}|app{app}"] = {
+            "windows": n,
             "first_cycle": samples[0][0],
             "last_cycle": samples[-1][0],
+            "first_eb": samples[0][1]["eb"],
+            "last_eb": samples[-1][1]["eb"],
             "mean": {
-                key: sum(s[1].get(key, 0.0) for s in samples) / len(samples)
+                key: sum(s[1][key] for s in samples) / n
                 for key in ("eb", "bw", "cmr")
             },
         }
-        for (workload, scheme, app), samples in sorted(
-            window_timelines(events).items()
-        )
-    }
-    decisions = {
-        f"{workload}|{scheme}": {
+    decisions = {}
+    for (workload, scheme), entries in sorted(decision_log(records).items()):
+        kinds: dict[str, int] = {}
+        for d in entries:
+            kinds[d["kind"]] = kinds.get(d["kind"], 0) + 1
+        decisions[f"{workload}|{scheme}"] = {
             "count": len(entries),
-            "kinds": _kind_counts(entries),
+            "kinds": dict(sorted(kinds.items())),
+            "log": entries,
         }
-        for (workload, scheme), entries in sorted(decision_log(events).items())
-    }
     return {
-        "trace": str(trace_path),
+        "trace": str(stream_path),
         "run_id": header.get("run_id"),
-        "n_events": len(events),
+        "n_records": len(records),
         "manifest": manifest,
         "manifest_problems": manifest_problems,
-        "phases": span_totals(events, tid=0),
-        "jobs": job_stats(events),
+        "phases": span_totals(records),
+        "jobs": job_stats(records),
         "window_timelines": timelines,
         "decisions": decisions,
         "engine": engine_counters((manifest or {}).get("metrics")),
-        "live": live_stream_stats(run_dir),
+        "stream": stream_stats(records),
     }
-
-
-def _kind_counts(entries: list[dict]) -> dict[str, int]:
-    kinds: dict[str, int] = {}
-    for d in entries:
-        kinds[d["kind"]] = kinds.get(d["kind"], 0) + 1
-    return dict(sorted(kinds.items()))
 
 
 # --- rendering ----------------------------------------------------------
@@ -275,25 +250,17 @@ def _fmt_s(seconds: float) -> str:
     return f"{seconds:8.3f}s"
 
 
-def _manifest_section(manifest_path: Path) -> list[str]:
+def _manifest_section(
+    manifest: dict | None, problems: list[str], run_dir: Path
+) -> list[str]:
     """Render the manifest block, degrading gracefully on failure-path
     manifests (null fields, missing per-phase timings, absent exports)
     instead of raising out of the whole summary."""
+    if manifest is None:
+        if not problems:
+            return [f"  (no {MANIFEST_FILENAME} next to the stream)"]
+        return ["", "== manifest ==", f"  WARNING: {problems[0]} — partial summary"]
     lines = ["", "== manifest =="]
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        lines.append(
-            f"  WARNING: unreadable manifest ({exc}) — partial summary"
-        )
-        return lines
-    if not isinstance(manifest, dict):
-        lines.append(
-            "  WARNING: malformed manifest (not a JSON object) — "
-            "partial summary"
-        )
-        return lines
-    problems = validate_manifest(manifest)
     argv = manifest.get("argv") or []
     if not isinstance(argv, list):
         argv = [argv]
@@ -328,8 +295,7 @@ def _manifest_section(manifest_path: Path) -> list[str]:
     listed = manifest.get("files") or []
     if isinstance(listed, list):
         absent = [
-            str(name) for name in listed
-            if not (manifest_path.parent / str(name)).is_file()
+            str(name) for name in listed if not (run_dir / str(name)).is_file()
         ]
         if absent:
             lines.append(
@@ -346,25 +312,21 @@ def _manifest_section(manifest_path: Path) -> list[str]:
     return lines
 
 
-def summarize(target: str | Path, root: Path | None = None) -> str:
+def summarize(target: str | Path, trace_dir: Path | None = None) -> str:
     """Render the human summary of one traced run."""
-    trace_path = resolve_trace_path(target, root=root)
-    header, events = load_trace(trace_path)
-    lines = [f"trace: {trace_path}  (run {header.get('run_id', '?')}, "
-             f"{len(events)} events)"]
+    data = summary_data(target, trace_dir)
+    stream_path = Path(data["trace"])
+    lines = [f"trace: {stream_path}  (run {data['run_id'] or '?'}, "
+             f"{data['n_records']} records)"]
+    lines.extend(_manifest_section(
+        data["manifest"], data["manifest_problems"], stream_path.parent
+    ))
 
-    manifest_path = trace_path.parent / MANIFEST_FILENAME
-    if manifest_path.is_file():
-        lines.extend(_manifest_section(manifest_path))
-    else:
-        lines.append(f"  (no {MANIFEST_FILENAME} next to the trace)")
-
-    phases = span_totals(events, tid=0)
     lines.append("")
     lines.append("== phases (wall) ==")
-    if phases:
+    if data["phases"]:
         for name, slot in sorted(
-            phases.items(), key=lambda kv: -kv[1]["total_s"]
+            data["phases"].items(), key=lambda kv: -kv[1]["total_s"]
         ):
             lines.append(
                 f"  {_fmt_s(slot['total_s'])}  x{slot['count']:<4d} {name}"
@@ -372,7 +334,7 @@ def summarize(target: str | Path, root: Path | None = None) -> str:
     else:
         lines.append("  (no host spans recorded)")
 
-    jobs = job_stats(events)
+    jobs = data["jobs"]
     if jobs["count"]:
         lines.append("")
         lines.append("== sweep jobs ==")
@@ -382,71 +344,45 @@ def summarize(target: str | Path, root: Path | None = None) -> str:
             f"max {jobs['max_s']:.3f}s, queue wait {jobs['queue_wait_s']:.3f}s"
         )
 
-    timelines = window_timelines(events)
-    if timelines:
+    if data["window_timelines"]:
         lines.append("")
         lines.append("== per-app window timelines (cycles) ==")
-        for (workload, scheme, app), samples in sorted(timelines.items()):
-            n = len(samples)
-            means = {
-                key: sum(s[1].get(key, 0.0) for s in samples) / n
-                for key in ("eb", "bw", "cmr")
-            }
-            first_eb = samples[0][1].get("eb", 0.0)
-            last_eb = samples[-1][1].get("eb", 0.0)
+        for name, tl in data["window_timelines"].items():
+            mean = tl["mean"]
             lines.append(
-                f"  {workload} {scheme} app{app}: {n} windows "
-                f"[{samples[0][0]:.0f}..{samples[-1][0]:.0f}]  "
-                f"EB {first_eb:.3f}->{last_eb:.3f} (mean {means['eb']:.3f})  "
-                f"BW mean {means['bw']:.3f}  CMR mean {means['cmr']:.3f}"
+                f"  {name.replace('|', ' ')}: {tl['windows']} windows "
+                f"[{tl['first_cycle']:.0f}..{tl['last_cycle']:.0f}]  "
+                f"EB {tl['first_eb']:.3f}->{tl['last_eb']:.3f} "
+                f"(mean {mean['eb']:.3f})  "
+                f"BW mean {mean['bw']:.3f}  CMR mean {mean['cmr']:.3f}"
             )
 
-    decisions = decision_log(events)
-    if decisions:
+    if data["decisions"]:
         lines.append("")
         lines.append("== controller decision log ==")
-        for (workload, scheme), entries in sorted(decisions.items()):
-            samples = [d for d in entries if d["kind"] == "sample"]
-            settled = [d for d in entries if d["kind"] == "settled"]
-            kinds: dict[str, int] = {}
-            for d in entries:
-                kinds[d["kind"]] = kinds.get(d["kind"], 0) + 1
-            kind_s = ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
-            lines.append(
-                f"  {workload} {scheme}: {len(entries)} decisions "
-                f"({kind_s})"
-            )
-            for d in samples:
-                combo = tuple(d.get("combo", ()))
+    for name, block in data["decisions"].items():
+        kind_s = ", ".join(f"{k}={n}" for k, n in block["kinds"].items())
+        lines.append(
+            f"  {name.replace('|', ' ')}: {block['count']} decisions ({kind_s})"
+        )
+        for d in block["log"]:  # the search's story, in cycle order
+            at = f"    @{d['cycle']:>10.0f}  "
+            if d["kind"] == "sample":
                 obj = d.get("objective")
                 obj_s = f"{obj:.4f}" if isinstance(obj, (int, float)) else "?"
+                lines.append(f"{at}sample {tuple(d.get('combo', ()))}  obj={obj_s}")
+            elif d["kind"] in ("criticality", "final"):
+                detail = {
+                    k: v for k, v in d.items() if k not in ("kind", "cycle")
+                }
+                lines.append(f"{at}{d['kind']}: {detail}")
+            elif d["kind"] == "settled":
                 lines.append(
-                    f"    @{d['cycle']:>10.0f}  sample {combo}  obj={obj_s}"
-                )
-            for d in entries:
-                if d["kind"] in ("criticality", "final"):
-                    detail = {
-                        k: v for k, v in d.items() if k not in ("kind", "cycle")
-                    }
-                    lines.append(
-                        f"    @{d['cycle']:>10.0f}  {d['kind']}: {detail}"
-                    )
-            for d in settled:
-                lines.append(
-                    f"    @{d['cycle']:>10.0f}  settled on "
-                    f"{tuple(d.get('combo', ()))} after "
+                    f"{at}settled on {tuple(d.get('combo', ()))} after "
                     f"{d.get('n_samples', '?')} samples"
                 )
 
-    metrics = None
-    if manifest_path.is_file():
-        try:
-            loaded = json.loads(manifest_path.read_text())
-            if isinstance(loaded, dict):
-                metrics = loaded.get("metrics")
-        except (OSError, json.JSONDecodeError):
-            metrics = None
-    engine = engine_counters(metrics)
+    engine = data["engine"]
     if engine["counters"] or engine["gauges"]:
         lines.append("")
         lines.append("== engine counters ==")
@@ -455,14 +391,12 @@ def summarize(target: str | Path, root: Path | None = None) -> str:
         for name, value in engine["gauges"].items():
             lines.append(f"  {name:<36} {value:>14,.0f}  (high water)")
 
-    live = live_stream_stats(trace_path.parent)
-    if live is not None:
-        lines.append("")
-        lines.append("== live stream ==")
-        type_s = ", ".join(f"{k}={n}" for k, n in live["types"].items())
-        lines.append(
-            f"  {live['records']} records ({type_s or 'none'})  "
-            f"dropped={live['dropped']}  invalid={live['invalid']}"
-        )
-
+    stream = data["stream"]
+    type_s = ", ".join(f"{k}={n}" for k, n in stream["types"].items())
+    lines.append("")
+    lines.append("== stream ==")
+    lines.append(
+        f"  {stream['records']} records ({type_s or 'none'})  "
+        f"dropped={stream['dropped']}  invalid={stream['invalid']}"
+    )
     return "\n".join(lines)

@@ -189,7 +189,7 @@ _STAGE_NAMES = (
 #: process-wide opt-in for engine self-profiling (``--profile``).  Read
 #: once at Simulator construction so toggling mid-run has no effect;
 #: when off, the only hot-path cost is one ``is not None`` check per
-#: dispatch (the same discipline as NullTracer / NullPublisher).
+#: dispatch (the same discipline as NullPublisher).
 _ENGINE_PROFILING = False
 
 

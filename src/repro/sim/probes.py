@@ -16,9 +16,10 @@ probe objects.  Attaching wraps/schedules hooks on the simulator
 instance; it never alters timing.
 
 Every probe offers ``to_events()``, which renders its collected data as
-:class:`repro.obs.Event` records (cycle-stamped, so traced runs stay
-deterministic) ready to extend a tracer's event list for the Perfetto
-export.
+plain ``probe`` records of the telemetry stream schema
+(:mod:`repro.obs.live`; cycle-stamped, so traced runs stay
+deterministic) ready to publish onto a run's stream, whose Chrome fold
+draws them as sim-layer counters.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs.trace import CLOCK_CYCLES, Event
-from repro.units import Cycles, TraceTicks
+from repro.units import Cycles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -40,6 +40,11 @@ __all__ = [
     "OccupancyProbe",
     "attach",
 ]
+
+
+def _probe(name: str, cycle: Cycles, values: dict) -> dict:
+    """One ``probe`` stream record."""
+    return {"type": "probe", "name": name, "cycle": cycle, "values": values}
 
 
 class LatencyHistogram:
@@ -97,17 +102,10 @@ class LatencyHistogram:
             "count": float(self.count(app_id)),
         }
 
-    def to_events(self, ts: TraceTicks = 0.0) -> list[Event]:
-        """One instant event per app with its latency percentiles."""
+    def to_events(self, cycle: Cycles = 0.0) -> list[dict]:
+        """One record per app with its latency percentiles."""
         return [
-            Event(
-                name=f"latency.app{app_id}",
-                cat="probe",
-                ph="i",
-                ts=ts,
-                clock=CLOCK_CYCLES,
-                args=self.summary(app_id),
-            )
+            _probe(f"latency.app{app_id}", cycle, self.summary(app_id))
             for app_id in sorted(self._buckets)
             if any(self._buckets[app_id])
         ]
@@ -138,17 +136,10 @@ class QueueDepthProbe:
     def ever_backpressured(self) -> bool:
         return any(d > 0 for _, _, _, d in self.samples)
 
-    def to_events(self) -> list[Event]:
-        """One counter event per (sample, channel) with both depths."""
+    def to_events(self) -> list[dict]:
+        """One record per (sample, channel) with both depths."""
         return [
-            Event(
-                name=f"dram.ch{ch}",
-                cat="probe",
-                ph="C",
-                ts=t,
-                clock=CLOCK_CYCLES,
-                args={"queue": depth, "deferred": deferred},
-            )
+            _probe(f"dram.ch{ch}", t, {"queue": depth, "deferred": deferred})
             for t, ch, depth, deferred in self.samples
         ]
 
@@ -170,16 +161,12 @@ class OccupancyProbe:
                 shares.append(occupancy.get(app_id, 0) / total)
         return sum(shares) / len(shares) if shares else 0.0
 
-    def to_events(self) -> list[Event]:
-        """One counter event per sample with per-app resident lines."""
+    def to_events(self) -> list[dict]:
+        """One record per sample with per-app resident lines."""
         return [
-            Event(
-                name="l2.occupancy",
-                cat="probe",
-                ph="C",
-                ts=t,
-                clock=CLOCK_CYCLES,
-                args={f"app{a}": occupancy[a] for a in sorted(occupancy)},
+            _probe(
+                "l2.occupancy", t,
+                {f"app{a}": occupancy[a] for a in sorted(occupancy)},
             )
             for t, occupancy in self.samples
         ]

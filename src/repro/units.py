@@ -59,7 +59,7 @@ WholeCycles = Annotated[int, "unit:cycle"]
 #: Host wall-clock time in seconds (``time.perf_counter`` deltas).
 WallSeconds = Annotated[float, "unit:wall"]
 
-#: Host wall-clock time in microseconds (the tracer's native scale).
+#: Host wall-clock time in microseconds (the Chrome export's scale).
 #: Scale is *not* tracked — the checker treats seconds and microseconds
 #: as the same wall dimension; the distinction documents intent.
 WallMicroseconds = Annotated[float, "unit:wall"]

@@ -79,8 +79,24 @@ class TestSetBaselineGuard:
         )
         return path
 
-    def test_quick_set_baseline_refuses_on_conflict(self, out, capsys):
-        rc = bench_report.main(
+    @pytest.fixture
+    def main(self, tmp_path):
+        """``bench_report.main`` with its history ledger under tmp_path."""
+        history = tmp_path / "bench_history.jsonl"
+        return lambda argv: bench_report.main([*argv, "--history", str(history)])
+
+    def test_runs_leave_the_repo_ledger_alone(self, out, main, tmp_path):
+        ledger = bench_report.DEFAULT_HISTORY
+        before = ledger.read_bytes() if ledger.is_file() else None
+        assert main(["--quick", "--out", str(out)]) == 0
+        assert main(["--set-baseline", "--out", str(out)]) == 0
+        after = ledger.read_bytes() if ledger.is_file() else None
+        assert after == before
+        # the runs did append, to the test's own ledger
+        assert len((tmp_path / "bench_history.jsonl").read_text().splitlines()) == 2
+
+    def test_quick_set_baseline_refuses_on_conflict(self, out, main, capsys):
+        rc = main(
             ["--quick", "--set-baseline", "--out", str(out)]
         )
         assert rc == 2
@@ -90,8 +106,8 @@ class TestSetBaselineGuard:
         report = json.loads(out.read_text())
         assert "quick" not in report["modes"]  # nothing written
 
-    def test_force_overrides(self, out):
-        rc = bench_report.main(
+    def test_force_overrides(self, out, main):
+        rc = main(
             ["--quick", "--set-baseline", "--force", "--out", str(out)]
         )
         assert rc == 0
@@ -100,16 +116,16 @@ class TestSetBaselineGuard:
         # the full-mode section is untouched
         assert report["modes"]["full"]["baseline"]["git"] == "fullrev"
 
-    def test_same_mode_rerecord_allowed(self, out):
-        rc = bench_report.main(
+    def test_same_mode_rerecord_allowed(self, out, main):
+        rc = main(
             ["--set-baseline", "--out", str(out)]  # full mode, modes match
         )
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["modes"]["full"]["baseline"]["git"] == "abc1234"
 
-    def test_without_set_baseline_no_guard(self, out):
-        rc = bench_report.main(["--quick", "--out", str(out)])
+    def test_without_set_baseline_no_guard(self, out, main):
+        rc = main(["--quick", "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         # first quick run seeds its own baseline; full untouched

@@ -329,7 +329,7 @@ class TestR004Layering:
             tmp_path, {"src/repro/sim/foo.py": src}, select=["R004"]
         )
         assert rules_of(findings) == {"R004"}
-        assert "tracer/metrics seam" in findings[0].message
+        assert "metrics registry" in findings[0].message
         dash = "import repro.obs.dashboard\n"
         findings = lint_tree(
             tmp_path, {"src/repro/sim/bar.py": dash}, select=["R004"]
@@ -337,11 +337,8 @@ class TestR004Layering:
         assert rules_of(findings) == {"R004"}
 
     def test_sim_using_metrics_seam_clean(self, tmp_path):
-        # The sanctioned engine observability seam: metrics + tracer.
-        src = (
-            "from repro.obs.metrics import get_metrics\n"
-            "from repro.obs.trace import get_tracer\n"
-        )
+        # The sanctioned engine observability seam: the metrics registry.
+        src = "from repro.obs.metrics import get_metrics\n"
         assert lint_tree(
             tmp_path, {"src/repro/sim/foo.py": src}, select=["R004"]
         ) == []

@@ -235,14 +235,14 @@ class TestPropagation:
 
     def test_telemetry_boundary_masks_clock_not_writes(self, tmp_path):
         files = {
-            "src/repro/obs/trace.py": (
+            "src/repro/obs/live.py": (
                 "import time\n"
                 "def span():\n"
                 "    t = time.perf_counter()\n"
                 "    open('x', 'w')\n"
             ),
             "src/repro/sim/engine.py": (
-                "from repro.obs.trace import span\n"
+                "from repro.obs.live import span\n"
                 "def run():\n"
                 "    span()\n"
             ),

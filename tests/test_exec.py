@@ -181,28 +181,33 @@ class TestProgressElapsed:
 
 
 class TestJobTraceEvents:
-    """With a tracer installed, every job leaves a cat='job' span."""
+    """With a stream installed, every job leaves a timed ``job_done``."""
 
     @pytest.mark.parametrize("n_jobs", [1, 3])
-    def test_jobs_traced(self, n_jobs):
-        from repro.obs import Tracer, tracing
+    def test_jobs_traced(self, n_jobs, tmp_path):
+        from repro.obs import LiveHub, job_stats, load_live, set_publisher
 
-        tracer = Tracer("t")
-        with tracing(tracer):
+        hub = LiveHub("t", tmp_path / "events.ndjson")
+        previous = set_publisher(hub.publisher)
+        try:
             run_jobs(_square, range(5), n_jobs=n_jobs)
-        jobs = [e for e in tracer.events if e.cat == "job"]
+        finally:
+            set_publisher(previous)
+            hub.close()
+        _, records = load_live(hub.path)
+        jobs = [r for r in records if r["type"] == "job_done"]
         assert len(jobs) == 5
-        for e in jobs:
-            assert e.ph == "X" and e.dur >= 0.0
-            assert "worker" in e.args
-            assert e.args["queue_wait_s"] >= 0.0
+        assert sum(r["type"] == "job_start" for r in records) == 5
+        for r in jobs:
+            assert r["elapsed_s"] >= 0.0 and r["job"].startswith("job:")
+        assert job_stats(records)["queue_wait_s"] >= 0.0
         if n_jobs == 1:
-            assert {e.args["worker"] for e in jobs} == {"main"}
+            assert {r["pid"] for r in jobs} == {os.getpid()}
 
     def test_untraced_run_emits_nothing(self):
-        from repro.obs import get_tracer
+        from repro.obs import get_publisher
 
-        assert not get_tracer().enabled
+        assert not get_publisher().enabled
         run_jobs(_square, range(3), n_jobs=1)  # must not raise or record
 
 

@@ -1,12 +1,13 @@
-"""Tests for the live-telemetry pipeline: repro.obs.live + dashboard.
+"""Tests for the telemetry stream: repro.obs.live + its folds.
 
 Covers the stream schema, the publisher discipline (NullPublisher is
 one attribute read; QueuePublisher never blocks), the parent-side
-LiveHub collector (NDJSON sink, metrics folding, profile-to-tracer),
-the dashboard state machine and its TTY/non-TTY renderers, the watch
-file tailer, the bench-history ledger, the profiled-run Chrome routing,
-and the invariant everything hangs on: telemetry on or off, simulation
-results are identical.
+LiveHub collector (NDJSON sink, metrics folding), the dashboard state
+machine and its TTY/non-TTY renderers, the watch file tailer, the
+bench-history ledger, the profiled-run Chrome routing, the one-stream
+property (the Chrome export, the summary and the dashboard agree on one
+recording), and the invariant everything hangs on: telemetry on or off,
+simulation results are identical.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import (
-    Event,
     MetricsRegistry,
-    Tracer,
     chrome_trace,
-    get_metrics,
     set_metrics,
-    tracing,
+    summary_data,
 )
 from repro.obs.bench import (
     BENCH_HISTORY_SCHEMA,
@@ -37,10 +35,12 @@ from repro.obs.bench import (
 )
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
 from repro.obs.io import JsonlAppender
+from repro.obs import live
 from repro.obs.live import (
     LIVE_RECORD_TYPES,
     LIVE_SCHEMA,
     LIVE_SCHEMA_VERSION,
+    STREAM_FILENAME,
     LiveHub,
     NullPublisher,
     QueuePublisher,
@@ -96,10 +96,16 @@ def _valid_records() -> list[dict]:
         {"type": "window", "workload": "BLK_TRD", "scheme": "pbs-ws",
          "app": 0, "cycle": 800.0, "eb": 0.4, "bw": 0.3, "cmr": 0.75,
          "ipc": 1.5},
+        {"type": "span", "name": "evaluate_schemes", "cat": "host",
+         "pid": 10, "depth": 0, "t0": 1.7e9, "dur_s": 2.5,
+         "args": {"workload": "BLK_TRD"}},
         {"type": "decision", "workload": "BLK_TRD", "scheme": "pbs-ws",
-         "kind": "sample", "cycle": 800.0},
+         "kind": "sample", "cycle": 800.0, "combo": [24, 4],
+         "objective": 1.25, "ebs": [0.4, 0.3]},
         {"type": "tenancy", "workload": "two-phase", "scheme": "pbs-ws",
          "event": "attach", "app": 2, "cycle": 29500.0, "roster": [0, 1, 2]},
+        {"type": "probe", "name": "l2.occupancy", "cycle": 2000.0,
+         "values": {"app0": 60, "app1": 40}},
         {"type": "heartbeat", "pid": 11},
         {"type": "profile", "job": "alone BLK 8", "pid": 11,
          "frames": [["run (engine.py:1)", 0.5, 0.1, 42]]},
@@ -155,7 +161,7 @@ class TestLiveSchema:
             parse_live([header, {"type": "nope"}])
 
     def test_load_live_round_trip(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / STREAM_FILENAME
         with JsonlAppender(path) as sink:
             sink.append(live_header("r2"))
             for record in _valid_records():
@@ -204,27 +210,26 @@ class TestPublishers:
         assert publisher.sent == 1 and publisher.dropped == 1
         assert q.get_nowait()["total"] == 1
 
-    def test_heartbeat_throttles(self):
+    def test_heartbeat_throttles(self, monkeypatch):
         q: "queue.Queue[dict]" = queue.Queue()
-        publisher = QueuePublisher(q, heartbeat_s=3600.0)
+        monkeypatch.setattr(live, "HEARTBEAT_S", 3600.0)
+        publisher = QueuePublisher(q)
         publisher.heartbeat()
         publisher.heartbeat()  # within the interval: suppressed
         assert q.qsize() == 1
-        eager = QueuePublisher(q, heartbeat_s=0.0)
+        monkeypatch.setattr(live, "HEARTBEAT_S", 0.0)
+        eager = QueuePublisher(q)
         eager.heartbeat()
         eager.heartbeat()
         assert q.qsize() == 3
 
     def test_worker_config_round_trips_the_knobs(self):
         q: "queue.Queue[dict]" = queue.Queue()
-        publisher = QueuePublisher(
-            q, worker=False, profile=True, heartbeat_s=2.0,
-            window_cap=16, profile_top=5,
-        )
+        publisher = QueuePublisher(q, worker=False, profile=True)
         config = publisher.worker_config()
+        assert config == {"profile": True}  # the one per-run setting
         clone = QueuePublisher(q, worker=True, **config)
-        assert clone.profile and clone.window_cap == 16
-        assert clone.profile_top == 5 and clone.heartbeat_s == 2.0
+        assert clone.profile and clone.worker
 
 
 # --- record builders ----------------------------------------------------------
@@ -237,7 +242,8 @@ def _scheme_result(n_windows: int = 1):
         workload="BLK_TRD",
         scheme="pbs-ws",
         result=SimpleNamespace(windows=windows),
-        decisions=[{"kind": "sample", "cycle": 900.0}],
+        decisions=[{"kind": "sample", "cycle": 900.0, "combo": [24, 4],
+                     "objective": 1.5, "ebs": [0.4, 0.3]}],
     )
 
 
@@ -249,6 +255,9 @@ class TestResultRecords:
         assert window["workload"] == "BLK_TRD" and window["scheme"] == "pbs-ws"
         assert window["cycle"] == 1000.0 and window["ipc"] == 1.25
         assert decision["kind"] == "sample" and decision["cycle"] == 900.0
+        # decisions keep the controller's full detail
+        assert decision["combo"] == [24, 4] and decision["objective"] == 1.5
+        assert decision["ebs"] == [0.4, 0.3]
         for record in records:
             assert validate_live_record(record) == []
 
@@ -266,13 +275,10 @@ class TestResultRecords:
         assert result_records({"plain": "dict"}) == []
         assert result_records(3.14) == []
 
-    def test_window_cap_strides_but_keeps_the_last_window(self):
-        records = result_records(_scheme_result(100), window_cap=10)
-        windows = [r for r in records if r["type"] == "window"]
-        assert len(windows) <= 11  # ceil-stride keeps ~cap plus the last
-        assert windows[-1]["cycle"] == 100_000.0  # last window survives
-        uncapped = result_records(_scheme_result(100), window_cap=0)
-        assert len([r for r in uncapped if r["type"] == "window"]) == 100
+    def test_every_window_is_kept(self):
+        records = result_records(_scheme_result(300))
+        cycles = [r["cycle"] for r in records if r["type"] == "window"]
+        assert cycles == [1000.0 * (i + 1) for i in range(300)]
 
 
 class TestProfileFrames:
@@ -300,7 +306,7 @@ class TestLiveHub:
     ):
         seen: list[dict] = []
         hub = LiveHub(
-            "run-1", tmp_path / "live.ndjson", on_record=seen.append
+            "run-1", tmp_path / STREAM_FILENAME, on_record=seen.append
         )
         hub.publisher.publish({"type": "batch", "total": 2})
         hub.publisher.publish(
@@ -327,24 +333,8 @@ class TestLiveHub:
         # the on_record callback saw every valid record plus stream_end
         assert [r["type"] for r in seen] == types
 
-    def test_profile_records_become_tracer_instants(
-        self, tmp_path, fresh_metrics
-    ):
-        tracer = Tracer("run-2")
-        with tracing(tracer):
-            hub = LiveHub("run-2", tmp_path / "live.ndjson", profile=True)
-            hub.publisher.publish(
-                {"type": "profile", "job": "alone BLK 8", "pid": 5,
-                 "frames": [["step (engine.py:10)", 0.9, 0.4, 120]]}
-            )
-            hub.close()
-        (instant,) = [e for e in tracer.events if e.cat == "profile"]
-        assert instant.name == "hot:step (engine.py:10)"
-        assert instant.args["cum_s"] == 0.9 and instant.args["calls"] == 120
-        assert instant.args["pid"] == 5
-
     def test_close_is_idempotent(self, tmp_path, fresh_metrics):
-        hub = LiveHub("run-3", tmp_path / "live.ndjson")
+        hub = LiveHub("run-3", tmp_path / STREAM_FILENAME)
         assert hub.close() == hub.close()
         _, records = load_live(hub.path)
         assert [r["type"] for r in records] == ["stream_end"]
@@ -355,7 +345,7 @@ class TestLiveHub:
         def explode(record: dict) -> None:
             raise RuntimeError("dashboard bug")
 
-        hub = LiveHub("run-4", tmp_path / "live.ndjson", on_record=explode)
+        hub = LiveHub("run-4", tmp_path / STREAM_FILENAME, on_record=explode)
         hub.publisher.publish({"type": "batch", "total": 1})
         hub.publisher.publish({"type": "heartbeat", "pid": 1})
         hub.close()
@@ -492,7 +482,7 @@ class TestWatch:
                 sink.append({"type": "stream_end", "records": 2})
 
     def test_replays_a_finished_stream(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / STREAM_FILENAME
         self._write_stream(path)
         stream = io.StringIO()
         state = watch(path, follow=False, stream=stream, clock=FakeClock())
@@ -501,13 +491,13 @@ class TestWatch:
         assert "stream end" in stream.getvalue()
 
     def test_rejects_a_non_live_file(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / STREAM_FILENAME
         path.write_text('{"schema": "other", "version": 1}\n')
         with pytest.raises(ValueError, match="not a repro.obs.live"):
             watch(path, follow=False, stream=io.StringIO())
 
     def test_partial_trailing_line_is_not_parsed(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / STREAM_FILENAME
         self._write_stream(path, end=False)
         with path.open("a") as fh:
             fh.write('{"type": "job_done", "job"')  # writer mid-append
@@ -517,7 +507,7 @@ class TestWatch:
         assert state.done == 1 and not state.ended
 
     def test_follow_times_out_on_a_stalled_stream(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / STREAM_FILENAME
         self._write_stream(path, end=False)
         clock = FakeClock()
         state = watch(
@@ -603,23 +593,28 @@ class TestBenchHistory:
 
 class TestChromeProfileRouting:
     def test_profile_instants_get_their_own_thread(self):
-        events = [
-            Event(name="job:a", cat="job", ph="X", ts=0.0, dur=1.0,
-                  args={"worker": 111}),
-            Event(name="hot:step", cat="profile", ph="i", ts=1.0,
-                  args={"cum_s": 0.9}),
+        records = [
+            {"type": "job_done", "job": "job:a", "pid": 111,
+             "elapsed_s": 1.0, "t": 1.0},
+            {"type": "profile", "job": "job:a", "pid": 111, "t": 1.0,
+             "frames": [["step (engine.py:10)", 0.9, 0.4, 120]]},
         ]
-        doc = chrome_trace(events, run_id="r")
+        doc = chrome_trace(records, run_id="r")
         (hot,) = [r for r in doc["traceEvents"]
                   if r.get("cat") == "profile"]
         assert hot["tid"] == 90  # below the worker tid range
+        assert hot["name"] == "hot:step (engine.py:10)"
+        assert hot["args"]["cum_s"] == 0.9 and hot["args"]["calls"] == 120
+        assert hot["args"]["pid"] == 111
         names = {r["args"]["name"] for r in doc["traceEvents"]
                  if r["ph"] == "M" and r["name"] == "thread_name"}
         assert "profiling" in names
 
     def test_no_profile_thread_without_profile_events(self):
         doc = chrome_trace(
-            [Event(name="x", cat="host", ph="i", ts=0.0)], run_id="r"
+            [{"type": "job_done", "job": "x", "pid": 1, "elapsed_s": 0.1,
+              "t": 1.0}],
+            run_id="r",
         )
         names = {r["args"]["name"] for r in doc["traceEvents"]
                  if r["ph"] == "M" and r["name"] == "thread_name"}
@@ -766,7 +761,7 @@ class TestCLILive:
         from repro.cli import main
 
         run_dir = self._traced_compare(isolated_store, "--profile")
-        header, records = load_live(run_dir / "live.ndjson")
+        header, records = load_live(run_dir / STREAM_FILENAME)
         assert header["run_id"] == run_dir.name
         types = {r["type"] for r in records}
         assert {"batch", "job_start", "job_done", "window", "decision",
@@ -793,25 +788,25 @@ class TestCLILive:
         assert counters["engine.events.dispatched"] > 0
 
         capsys.readouterr()
-        # the live stream is replayable through the watch command
+        # the stream is replayable through the watch command
         assert main(["watch", str(run_dir), "--no-follow"]) == 0
         assert "stream end:" in capsys.readouterr().err
 
         # and summarize reports it, in both text and JSON
         assert main(["trace", "summarize", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "== live stream ==" in out and "== engine counters ==" in out
+        assert "== stream ==" in out and "== engine counters ==" in out
         assert main(["trace", "summarize", str(run_dir), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["run_id"] == run_dir.name
-        assert data["live"]["invalid"] == 0
-        assert data["live"]["types"]["window"] == len(windows)
+        assert data["stream"]["invalid"] == 0
+        assert data["stream"]["types"]["window"] == len(windows)
         assert data["engine"]["counters"]["engine.events.dispatched"] > 0
 
     def test_untraced_run_leaves_no_ambient_publisher(self, isolated_store):
         run_dir = self._traced_compare(isolated_store)
         assert isinstance(get_publisher(), NullPublisher)
-        _, records = load_live(run_dir / "live.ndjson")
+        _, records = load_live(run_dir / STREAM_FILENAME)
         assert not any(r["type"] == "profile" for r in records)
 
     def test_watch_flag_prints_plain_lines_off_tty(
@@ -820,13 +815,13 @@ class TestCLILive:
         run_dir = self._traced_compare(isolated_store, "--watch")
         err = capsys.readouterr().err
         assert "stream end:" in err and "\x1b[" not in err
-        assert (run_dir / "live.ndjson").is_file()
+        assert (run_dir / STREAM_FILENAME).is_file()
 
     def test_watch_missing_run_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["watch", "nope", "--trace-dir", str(tmp_path)]) == 2
-        assert "no live stream" in capsys.readouterr().err
+        assert STREAM_FILENAME in capsys.readouterr().err
 
     def test_bench_history_command(self, tmp_path, capsys):
         from repro.cli import main
@@ -848,3 +843,72 @@ class TestCLILive:
             "bench", "history", "--history", str(tmp_path / "none.jsonl"),
         ]) == 2
         assert "no bench history" in capsys.readouterr().err
+
+
+# --- one stream, three folds --------------------------------------------------
+
+
+class TestOneStream:
+    def test_folds_agree_on_one_recording(self, isolated_store):
+        from repro.cli import main
+
+        trace_dir = isolated_store / "traces"
+        assert main([
+            "--config", "small", "--quick", "--jobs", "2",
+            "compare", "BLK", "TRD", "--schemes", "dyncta,pbs-ws",
+            "--profile", "--trace-dir", str(trace_dir),
+        ]) == 0
+        (run_dir,) = trace_dir.iterdir()
+        stream = run_dir / STREAM_FILENAME
+
+        chrome = json.loads((run_dir / "trace.chrome.json").read_text())
+        events = [e for e in chrome["traceEvents"] if e["ph"] != "M"]
+        chrome_windows: dict[str, int] = {}
+        for e in events:
+            if e["cat"] == "window":
+                chrome_windows[e["name"]] = chrome_windows.get(e["name"], 0) + 1
+        chrome_jobs = sum(e["cat"] == "job" for e in events)
+        chrome_decisions = sum(e["cat"] in ("pbs", "ctrl") for e in events)
+
+        data = summary_data(stream)
+        summary_windows = {
+            name: tl["windows"] for name, tl in data["window_timelines"].items()
+        }
+        summary_decisions = sum(d["count"] for d in data["decisions"].values())
+
+        state = watch(stream, follow=False, stream=io.StringIO(),
+                      clock=FakeClock())
+        watch_windows = {
+            f"{w}|{s}|app{a}": n for (w, s, a), n in state.series_windows.items()
+        }
+
+        assert chrome_jobs == data["jobs"]["count"] == state.done > 0
+        assert chrome_windows == summary_windows == watch_windows
+        assert len(summary_windows) == 4  # two apps under two schemes
+        assert sum(watch_windows.values()) == state.window_count
+        assert chrome_decisions == summary_decisions == state.decision_count > 0
+
+    def test_old_two_file_format_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run_dir = tmp_path / "compare-old"
+        run_dir.mkdir()
+        (run_dir / "trace.jsonl").write_text(
+            '{"schema": "repro.obs.trace", "version": 1, "run_id": "old"}\n'
+        )
+        old_live = run_dir / "live.ndjson"
+        old_live.write_text(
+            '{"schema": "repro.obs.live", "version": 1, "run_id": "old"}\n'
+        )
+        for argv in (["trace", "summarize", str(run_dir)],
+                     ["trace", "summarize", str(run_dir), "--json"],
+                     ["watch", str(run_dir), "--no-follow"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and STREAM_FILENAME in err
+        # pointed at the old stream file itself: a clean version error
+        for argv in (["trace", "summarize", str(old_live)],
+                     ["watch", str(old_live), "--no-follow"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "version" in err

@@ -1,7 +1,7 @@
-"""Tests for repro.obs: tracing, metrics, manifests, exports, summaries.
+"""Tests for repro.obs: the stream, metrics, manifests, and its folds.
 
 Unit coverage for each obs module plus the end-to-end gate: a traced
-quick ``compare`` run must produce a parseable JSONL trace, a loadable
+quick ``compare`` run must produce a parseable event stream, a loadable
 Chrome export, and a complete manifest, and ``repro trace summarize``
 must reconstruct phases, window timelines, and the PBS decision log
 from them.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import queue
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,152 +19,178 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import (
-    CLOCK_CYCLES,
-    CLOCK_WALL,
     MANIFEST_FILENAME,
     REQUIRED_FIELDS,
-    Event,
+    STREAM_FILENAME,
+    JsonlAppender,
+    LiveHub,
     MetricsRegistry,
-    NullTracer,
+    NullPublisher,
+    QueuePublisher,
     RunManifest,
-    Tracer,
     atomic_write_text,
     chrome_trace,
     config_fingerprint,
     decision_log,
     get_metrics,
-    get_tracer,
+    get_publisher,
     job_stats,
-    load_trace,
-    parse_events,
+    live_header,
+    load_live,
+    parse_live,
     read_jsonl,
     resolve_trace_path,
+    result_records,
     set_metrics,
-    set_tracer,
+    set_publisher,
     span_totals,
     summarize,
-    tracing,
+    validate_live_record,
     validate_manifest,
     window_timelines,
     write_chrome_trace,
 )
 
 
-# --- events and tracer --------------------------------------------------------
+def _drain(q: "queue.Queue[dict]") -> list[dict]:
+    out = []
+    while not q.empty():
+        out.append(q.get_nowait())
+    return out
+
+
+# --- stream records and host spans --------------------------------------------
 
 
 class TestEvent:
     def test_round_trip(self):
-        e = Event(name="n", cat="c", ph="X", ts=1.5, clock=CLOCK_WALL,
-                  dur=2.5, tid=3, args={"k": 1})
-        assert Event.from_dict(e.to_dict()) == e
+        q: "queue.Queue[dict]" = queue.Queue()
+        with QueuePublisher(q, worker=False).span("phase", detail="x"):
+            pass
+        (record,) = _drain(q)
+        assert json.loads(json.dumps(record)) == record
+        assert validate_live_record(record) == []
+        assert record["args"] == {"detail": "x"}
 
     def test_dur_only_serialized_for_spans(self):
-        instant = Event(name="n", cat="c", ph="i", ts=0.0)
-        assert "dur" not in instant.to_dict()
-        assert "args" not in instant.to_dict()  # empty args omitted
-        span = Event(name="n", cat="c", ph="X", ts=0.0, dur=7.0)
-        assert span.to_dict()["dur"] == 7.0
+        q: "queue.Queue[dict]" = queue.Queue()
+        publisher = QueuePublisher(q, worker=False)
+        publisher.publish({"type": "batch", "total": 1})
+        with publisher.span("phase"):
+            pass
+        batch, span = _drain(q)
+        assert "dur_s" not in batch
+        assert span["dur_s"] >= 0.0 and span["args"] == {}
 
 
 class TestTracer:
     def test_span_records_nesting_depth(self):
-        tracer = Tracer("t")
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        q: "queue.Queue[dict]" = queue.Queue()
+        publisher = QueuePublisher(q, worker=False)
+        with publisher.span("outer"):
+            with publisher.span("inner"):
                 pass
-        by_name = {e.name: e for e in tracer.events}
-        assert by_name["outer"].tid == 0
-        assert by_name["inner"].tid == 1
-        assert by_name["outer"].dur >= by_name["inner"].dur >= 0.0
-        assert all(e.clock == CLOCK_WALL for e in tracer.events)
+        inner, outer = _drain(q)  # a span is published when it closes
+        assert (outer["name"], outer["depth"]) == ("outer", 0)
+        assert (inner["name"], inner["depth"]) == ("inner", 1)
+        assert outer["dur_s"] >= inner["dur_s"] >= 0.0
+        assert outer["t0"] <= inner["t0"]
+        # a worker's spans nest below the parent's phases
+        worker = QueuePublisher(q, worker=True)
+        with worker.span("evaluate:pbs-ws"):
+            pass
+        (nested,) = _drain(q)
+        assert nested["depth"] == 1
 
     def test_counter_and_instant_clocks(self):
-        tracer = Tracer("t")
-        tracer.counter("w|s|app0", {"eb": 0.5}, ts=1000.0, cat="window")
-        tracer.instant("pbs.sample", cat="pbs", clock=CLOCK_CYCLES, ts=2000.0)
-        tracer.instant("note")  # wall-stamped by default
-        counter, cycle_i, wall_i = tracer.events
-        assert (counter.ph, counter.clock, counter.ts) == ("C", CLOCK_CYCLES, 1000.0)
-        assert (cycle_i.ph, cycle_i.clock, cycle_i.ts) == ("i", CLOCK_CYCLES, 2000.0)
-        assert wall_i.clock == CLOCK_WALL and wall_i.ts >= 0.0
+        # Window samples (counters) and decisions (instants) carry the
+        # simulated clock; host spans carry wall time.
+        q: "queue.Queue[dict]" = queue.Queue()
+        publisher = QueuePublisher(q, worker=False)
+        for record in result_records(_scheme_result()):
+            publisher.publish(record)
+        with publisher.span("phase"):
+            pass
+        window, decision, span = _drain(q)
+        assert window["cycle"] == 1000.0 and decision["cycle"] == 900.0
+        assert "t0" not in window and "t0" not in decision
+        assert span["t0"] > 1e9  # unix wall seconds
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer("roundtrip")
-        with tracer.span("phase", cat="host", detail="x"):
-            tracer.counter("w|s|app0", {"eb": 1.0}, ts=5.0)
-        tracer.instant("pbs.final", cat="pbs", clock=CLOCK_CYCLES, ts=9.0,
-                       combo=[24, 4])
-        header, events = parse_events(
-            [json.loads(line) for line in tracer.to_jsonl().splitlines()]
-        )
+        hub = LiveHub("roundtrip", tmp_path / STREAM_FILENAME)
+        with hub.publisher.span("phase", cat="host", detail="x"):
+            for record in result_records(_scheme_result()):
+                hub.publisher.publish(record)
+        path = hub.close()
+        header, records = load_live(path)
         assert header["run_id"] == "roundtrip"
-        assert events == tracer.events
-
-        path = tmp_path / "trace.jsonl"
-        tracer.write(path)
-        header2, events2 = load_trace(path)
-        assert (header2, events2) == (header, events)
+        assert [r["type"] for r in records] == [
+            "window", "decision", "span", "stream_end",
+        ]
+        assert records[1]["combo"] == [24, 4]
+        assert records[2]["args"] == {"detail": "x"}
 
     def test_phase_totals_top_level_only(self):
-        tracer = Tracer("t")
-        with tracer.span("phase"):
-            with tracer.span("sub"):
-                pass
-        tracer.complete("job:x", ts=0.0, dur=1e6, cat="job", worker="main")
-        totals = tracer.phase_totals()
-        assert set(totals) == {"phase"}  # no sub-span, no job span
+        records = [
+            {"type": "span", "name": "sub", "cat": "host", "pid": 1,
+             "depth": 1, "t0": 0.0, "dur_s": 0.5},
+            {"type": "span", "name": "phase", "cat": "host", "pid": 1,
+             "depth": 0, "t0": 0.0, "dur_s": 1.0},
+            {"type": "job_done", "job": "job:x", "pid": 1, "elapsed_s": 1.0},
+        ]
+        totals = span_totals(records)
+        assert set(totals) == {"phase"}  # no sub-span, no job
         assert totals["phase"]["count"] == 1
 
 
 class TestAmbientTracer:
     def test_default_is_disabled(self):
-        tracer = get_tracer()
-        assert isinstance(tracer, NullTracer) and not tracer.enabled
-        with tracer.span("anything"):  # usable as a no-op
+        publisher = get_publisher()
+        assert isinstance(publisher, NullPublisher) and not publisher.enabled
+        with publisher.span("anything"):  # usable as a no-op
             pass
-        tracer.instant("x")
-        assert tracer.phase_totals() == {}
 
     def test_tracing_restores_on_exception(self):
-        before = get_tracer()
+        q: "queue.Queue[dict]" = queue.Queue()
+        publisher = QueuePublisher(q, worker=False)
         with pytest.raises(RuntimeError):
-            with tracing(Tracer("t")) as active:
-                assert get_tracer() is active
-                raise RuntimeError("boom")
-        assert get_tracer() is before
+            with publisher.span("outer"):
+                with publisher.span("inner"):
+                    raise RuntimeError("boom")
+        inner, outer = _drain(q)  # both spans still published
+        assert (inner["depth"], outer["depth"]) == (1, 0)
+        with publisher.span("next"):
+            pass
+        assert _drain(q)[0]["depth"] == 0  # nesting unwound
 
     def test_set_tracer_none_disables(self):
-        set_tracer(Tracer("t"))
-        set_tracer(None)
-        assert not get_tracer().enabled
+        q: "queue.Queue[dict]" = queue.Queue()
+        set_publisher(QueuePublisher(q, worker=False))
+        set_publisher(None)
+        with get_publisher().span("phase"):
+            pass
+        assert not get_publisher().enabled and q.empty()
 
 
 class TestParseErrors:
-    HEADER = {"schema": "repro.obs.trace", "version": 1, "run_id": "r"}
+    HEADER = live_header("r")
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="missing schema header"):
-            parse_events([])
+            parse_live([])
 
     def test_wrong_schema(self):
-        with pytest.raises(ValueError, match="not a repro.obs trace"):
-            parse_events([{"schema": "something.else"}])
+        with pytest.raises(ValueError, match="not a repro.obs live stream"):
+            parse_live([{"schema": "repro.obs.trace", "version": 1}])
 
     def test_wrong_version(self):
-        with pytest.raises(ValueError, match="unsupported trace version"):
-            parse_events([{**self.HEADER, "version": 99}])
+        # the pre-v2 live stream (capped windows, no spans) is refused
+        with pytest.raises(ValueError, match="unsupported live-stream version"):
+            parse_live([{**self.HEADER, "version": 1}])
 
     def test_missing_field_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_events([self.HEADER, {"name": "x"}])
-
-    def test_unknown_phase_and_clock(self):
-        base = {"name": "n", "cat": "c", "ts": 0.0}
-        with pytest.raises(ValueError, match="unknown phase"):
-            parse_events([self.HEADER, {**base, "ph": "Z"}])
-        with pytest.raises(ValueError, match="unknown clock"):
-            parse_events([self.HEADER, {**base, "ph": "i", "clock": "tai"}])
+            parse_live([self.HEADER, {"type": "span", "name": "x"}])
 
 
 # --- io -----------------------------------------------------------------------
@@ -190,40 +217,23 @@ class TestAtomicIO:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_timers(self):
+    def test_counters_and_gauges(self):
         reg = MetricsRegistry()
         reg.inc("cache.scheme.hit")
         reg.inc("cache.scheme.hit", 2)
         reg.set_gauge("jobs", 4)
-        reg.observe("sweep", 1.0)
-        reg.observe("sweep", 3.0)
         assert reg.counters["cache.scheme.hit"] == 3
         assert reg.gauges["jobs"] == 4
-        timer = reg.timer("sweep")
-        assert timer == {"count": 2, "total_s": 4.0, "max_s": 3.0}
-        assert reg.timer("unknown")["count"] == 0
-
-    def test_timelines(self):
-        reg = MetricsRegistry()
-        reg.record_point("eb", 1, t=2000.0, value=0.4)
-        reg.record_point("eb", 0, t=1000.0, value=0.7)
-        assert reg.timeline_series() == [("eb", 0), ("eb", 1)]
-        (point,) = reg.timeline("eb", 0)
-        assert (point.t, point.value) == (1000.0, 0.7)
-        assert reg.timeline("eb", 9) == []
 
     def test_snapshot_and_reset(self):
         reg = MetricsRegistry()
         reg.inc("c")
-        reg.record_point("eb", 0, t=1.0, value=2.0)
+        reg.set_gauge("g", 2.0)
         snap = reg.snapshot()
-        assert snap["counters"] == {"c": 1}
-        assert snap["timelines"] == {"eb/app0": 1}
+        assert snap == {"counters": {"c": 1}, "gauges": {"g": 2.0}}
         json.dumps(snap)  # must be JSON-serializable
         reg.reset()
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "timers": {}, "timelines": {},
-        }
+        assert reg.snapshot() == {"counters": {}, "gauges": {}}
 
     def test_ambient_swap_returns_previous(self):
         original = get_metrics()
@@ -236,20 +246,16 @@ class TestMetricsRegistry:
 
 
 class TestMetricsMerge:
-    """Cross-process folding semantics (the live-collector contract)."""
+    """Cross-process folding semantics (the stream-collector contract)."""
 
     def _worker(self, n: float) -> MetricsRegistry:
         reg = MetricsRegistry()
         reg.inc("jobs", n)
-        reg.observe("sweep", n)
         reg.set_gauge("high_water", n)
-        reg.record_point("eb", 0, t=100.0 * n, value=n)
         return reg
 
-    def test_counter_and_timer_merge_is_associative(self):
-        snaps = [
-            self._worker(n).snapshot(timelines=True) for n in (1, 2, 3)
-        ]
+    def test_counter_merge_is_associative(self):
+        snaps = [self._worker(n).snapshot() for n in (1, 2, 3)]
         left = MetricsRegistry()        # (a + b) + c
         left.merge(snaps[0])
         left.merge(snaps[1])
@@ -259,12 +265,8 @@ class TestMetricsMerge:
         ab.merge(snaps[2])
         right = MetricsRegistry()
         right.merge(snaps[0])
-        right.merge(ab.snapshot(timelines=True))
+        right.merge(ab.snapshot())
         assert left.counters == right.counters == {"jobs": 6}
-        assert left.timer("sweep") == right.timer("sweep")
-        assert left.timer("sweep") == {
-            "count": 3, "total_s": 6.0, "max_s": 3.0,
-        }
 
     def test_gauge_labels_keep_workers_apart(self):
         parent = MetricsRegistry()
@@ -284,35 +286,16 @@ class TestMetricsMerge:
 
     def test_full_snapshot_round_trips(self):
         reg = self._worker(4)
-        clone = MetricsRegistry.from_snapshot(reg.snapshot(timelines=True))
-        assert clone.snapshot(timelines=True) == reg.snapshot(timelines=True)
-        assert clone.timeline("eb", 0) == reg.timeline("eb", 0)
-
-    def test_condensed_snapshot_drops_timeline_points(self):
-        reg = self._worker(4)
-        clone = MetricsRegistry.from_snapshot(reg.snapshot())
-        assert clone.timeline("eb", 0) == []
-        assert clone.counters == reg.counters
-
-    def test_out_of_order_points_read_back_sorted_stably(self):
-        reg = MetricsRegistry()
-        reg.record_point("eb", 0, t=300.0, value=3.0)
-        reg.record_point("eb", 0, t=100.0, value=1.0)
-        reg.record_point("eb", 0, t=100.0, value=1.5)  # equal-time: keeps order
-        reg.record_point("eb", 0, t=200.0, value=2.0)
-        values = [p.value for p in reg.timeline("eb", 0)]
-        assert values == [1.0, 1.5, 2.0, 3.0]
+        clone = MetricsRegistry()
+        clone.merge(reg.snapshot())
+        assert clone.snapshot() == reg.snapshot()
 
     def test_reset_isolates_subsequent_merges(self):
         reg = self._worker(1)
         reg.reset()
-        assert reg.snapshot(timelines=True) == {
-            "counters": {}, "gauges": {}, "timers": {}, "timelines": {},
-            "timeline_points": {},
-        }
-        reg.merge(self._worker(2).snapshot(timelines=True))
+        assert reg.snapshot() == {"counters": {}, "gauges": {}}
+        reg.merge(self._worker(2).snapshot())
         assert reg.counters == {"jobs": 2}  # no residue from before reset
-        assert [p.value for p in reg.timeline("eb", 0)] == [2.0]
 
 
 # --- chrome export ------------------------------------------------------------
@@ -320,36 +303,40 @@ class TestMetricsMerge:
 
 class TestChromeExport:
     def test_clock_domains_map_to_processes(self):
-        events = [
-            Event(name="host", cat="host", ph="X", ts=0.0, dur=1.0),
-            Event(name="w|s|app0", cat="window", ph="C", ts=5.0,
-                  clock=CLOCK_CYCLES, args={"eb": 0.5, "label": "drop-me"}),
-            Event(name="pbs.sample", cat="pbs", ph="i", ts=7.0,
-                  clock=CLOCK_CYCLES),
+        records = [
+            {"type": "span", "name": "host", "cat": "host", "pid": 7,
+             "depth": 0, "t0": 100.0, "dur_s": 1.0, "t": 101.0},
+            {"type": "window", "workload": "w", "scheme": "s", "app": 0,
+             "cycle": 5.0, "eb": 0.5, "bw": 0.4, "cmr": 0.1, "ipc": 1.0},
+            {"type": "decision", "workload": "w", "scheme": "pbs-ws",
+             "kind": "sample", "cycle": 7.0, "combo": [24, 4]},
+            {"type": "probe", "name": "l2.occupancy", "cycle": 9.0,
+             "values": {"app0": 60, "label": "drop-me"}},
         ]
-        doc = chrome_trace(events, run_id="r")
+        doc = chrome_trace(records, run_id="r")
         assert doc["displayTimeUnit"] == "ms"
-        records = {r["name"]: r for r in doc["traceEvents"] if r["ph"] != "M"}
-        assert records["host"]["pid"] == 1
-        assert records["w|s|app0"]["pid"] == 2
+        out = {r["name"]: r for r in doc["traceEvents"] if r["ph"] != "M"}
+        assert out["host"]["pid"] == 1
+        assert out["host"]["ts"] == 0.0 and out["host"]["dur"] == 1e6
+        assert out["w|s|app0"]["pid"] == 2
+        assert out["w|s|app0"]["ts"] == 5.0
+        assert out["pbs.sample"]["pid"] == 2 and out["pbs.sample"]["s"] == "t"
+        assert out["pbs.sample"]["args"]["combo"] == [24, 4]
         # counter args keep only numeric series
-        assert records["w|s|app0"]["args"] == {"eb": 0.5}
-        assert records["pbs.sample"]["s"] == "t"
+        assert out["l2.occupancy"]["args"] == {"app0": 60}
         meta = [r for r in doc["traceEvents"] if r["ph"] == "M"]
         names = {r["args"]["name"] for r in meta}
         assert any("host" in n for n in names)
         assert any("cycle" in n for n in names)
 
     def test_workers_get_their_own_threads(self):
-        events = [
-            Event(name="job:a", cat="job", ph="X", ts=0.0, dur=1.0,
-                  args={"worker": 111}),
-            Event(name="job:b", cat="job", ph="X", ts=1.0, dur=1.0,
-                  args={"worker": 222}),
-            Event(name="job:c", cat="job", ph="X", ts=2.0, dur=1.0,
-                  args={"worker": 111}),
+        records = [
+            {"type": "job_done", "job": f"job:{name}", "pid": pid,
+             "elapsed_s": 1.0, "t": t}
+            for name, pid, t in (("a", 111, 1.0), ("b", 222, 2.0),
+                                 ("c", 111, 3.0))
         ]
-        doc = chrome_trace(events)
+        doc = chrome_trace(records)
         tids = [r["tid"] for r in doc["traceEvents"]
                 if r.get("cat") == "job"]
         assert tids[0] == tids[2] != tids[1]
@@ -360,7 +347,7 @@ class TestChromeExport:
 
     def test_write_is_loadable_json(self, tmp_path):
         path = tmp_path / "trace.chrome.json"
-        write_chrome_trace(path, [Event(name="x", cat="c", ph="i", ts=0.0)])
+        write_chrome_trace(path, [{"type": "batch", "total": 1, "t": 0.0}])
         doc = json.loads(path.read_text())
         assert "traceEvents" in doc
 
@@ -379,7 +366,7 @@ class TestManifest:
     def test_complete_manifest_validates(self, tmp_path):
         manifest = self._started()
         manifest.finish(phases={"evaluate_schemes": {"count": 1}},
-                        metrics={}, files=["trace.jsonl"])
+                        metrics={}, files=[STREAM_FILENAME])
         path = manifest.write(tmp_path)
         assert path.name == MANIFEST_FILENAME
         data = json.loads(path.read_text())
@@ -406,63 +393,77 @@ class TestManifest:
 # --- summarize aggregations ---------------------------------------------------
 
 
-def _synthetic_events():
+def _synthetic_records():
     return [
-        Event(name="evaluate_schemes", cat="host", ph="X", ts=0.0, dur=2e6),
-        Event(name="sub", cat="host", ph="X", ts=0.0, dur=1e6, tid=1),
-        Event(name="job:BLK/1", cat="job", ph="X", ts=0.0, dur=5e5,
-              args={"worker": 10, "queue_wait_s": 0.25}),
-        Event(name="job:BLK/2", cat="job", ph="X", ts=1.0, dur=3e5,
-              args={"worker": 11, "queue_wait_s": 0.0}),
-        Event(name="BLK_TRD|pbs-ws|app0", cat="window", ph="C", ts=2000.0,
-              clock=CLOCK_CYCLES, args={"eb": 0.5, "bw": 0.4, "cmr": 0.1}),
-        Event(name="BLK_TRD|pbs-ws|app0", cat="window", ph="C", ts=1000.0,
-              clock=CLOCK_CYCLES, args={"eb": 0.3, "bw": 0.2, "cmr": 0.2}),
-        Event(name="pbs.sample", cat="pbs", ph="i", ts=1500.0,
-              clock=CLOCK_CYCLES,
-              args={"workload": "BLK_TRD", "scheme": "pbs-ws",
-                    "combo": [24, 4], "objective": 1.25}),
-        Event(name="pbs.settled", cat="pbs", ph="i", ts=1800.0,
-              clock=CLOCK_CYCLES,
-              args={"workload": "BLK_TRD", "scheme": "pbs-ws",
-                    "combo": [24, 4], "n_samples": 9}),
+        {"type": "batch", "total": 2, "t": 100.0},
+        {"type": "job_start", "job": "job:BLK/1", "pid": 10, "t": 100.25},
+        {"type": "job_start", "job": "job:BLK/2", "pid": 11, "t": 100.0},
+        {"type": "job_done", "job": "job:BLK/2", "pid": 11,
+         "elapsed_s": 0.3, "t": 100.3},
+        {"type": "job_done", "job": "job:BLK/1", "pid": 10,
+         "elapsed_s": 0.5, "t": 100.75},
+        {"type": "span", "name": "sub", "cat": "host", "pid": 1, "depth": 1,
+         "t0": 100.0, "dur_s": 1.0},
+        {"type": "span", "name": "evaluate_schemes", "cat": "host", "pid": 1,
+         "depth": 0, "t0": 100.0, "dur_s": 2.0},
+        {"type": "window", "workload": "BLK_TRD", "scheme": "pbs-ws",
+         "app": 0, "cycle": 2000.0, "eb": 0.5, "bw": 0.4, "cmr": 0.1,
+         "ipc": 1.0},
+        {"type": "window", "workload": "BLK_TRD", "scheme": "pbs-ws",
+         "app": 0, "cycle": 1000.0, "eb": 0.3, "bw": 0.2, "cmr": 0.2,
+         "ipc": 1.0},
+        {"type": "decision", "workload": "BLK_TRD", "scheme": "pbs-ws",
+         "kind": "settled", "cycle": 1800.0, "combo": [24, 4],
+         "n_samples": 9},
+        {"type": "decision", "workload": "BLK_TRD", "scheme": "pbs-ws",
+         "kind": "sample", "cycle": 1500.0, "combo": [24, 4],
+         "objective": 1.25},
     ]
+
+
+def _write_stream(run_dir: Path, run_id: str) -> Path:
+    run_dir.mkdir(parents=True)
+    path = run_dir / STREAM_FILENAME
+    with JsonlAppender(path) as sink:
+        sink.append(live_header(run_id))
+        for record in _synthetic_records():
+            sink.append(record)
+    return path
 
 
 class TestSummarizeAggregations:
     def test_span_totals_scopes_by_tid(self):
-        events = _synthetic_events()
-        top = span_totals(events, tid=0)
+        records = _synthetic_records()
+        top = span_totals(records, depth=0)
         assert set(top) == {"evaluate_schemes"}  # no sub-spans, no jobs
         assert top["evaluate_schemes"]["total_s"] == pytest.approx(2.0)
-        assert set(span_totals(events, tid=None)) == {"evaluate_schemes", "sub"}
+        assert set(span_totals(records, depth=None)) == {
+            "evaluate_schemes", "sub",
+        }
 
     def test_job_stats(self):
-        stats = job_stats(_synthetic_events())
+        stats = job_stats(_synthetic_records())
         assert stats["count"] == 2 and stats["workers"] == 2
         assert stats["total_s"] == pytest.approx(0.8)
+        # queue wait: batch submitted at t=100, jobs started at +0.25, +0
         assert stats["queue_wait_s"] == pytest.approx(0.25)
 
     def test_window_timelines_sorted_by_cycle(self):
-        series = window_timelines(_synthetic_events())
+        series = window_timelines(_synthetic_records())
         samples = series[("BLK_TRD", "pbs-ws", 0)]
         assert [t for t, _ in samples] == [1000.0, 2000.0]
         assert samples[0][1]["eb"] == 0.3
 
     def test_decision_log_grouped_and_stripped(self):
-        log = decision_log(_synthetic_events())
+        log = decision_log(_synthetic_records())
         entries = log[("BLK_TRD", "pbs-ws")]
         assert [d["kind"] for d in entries] == ["sample", "settled"]
         assert entries[0]["combo"] == [24, 4]
-        assert "workload" not in entries[0]
+        assert "workload" not in entries[0] and "type" not in entries[0]
 
     def test_summarize_renders_everything(self, tmp_path):
-        tracer = Tracer("synthetic")
-        tracer.events = _synthetic_events()
-        run_dir = tmp_path / "results" / "traces" / "synthetic"
-        run_dir.mkdir(parents=True)
-        tracer.write(run_dir / "trace.jsonl")
-        text = summarize("synthetic", root=tmp_path)
+        _write_stream(tmp_path / "traces" / "synthetic", "synthetic")
+        text = summarize("synthetic", tmp_path / "traces")
         assert "evaluate_schemes" in text
         assert "2 jobs on 2 worker(s)" in text
         assert "BLK_TRD pbs-ws app0: 2 windows" in text
@@ -471,11 +472,8 @@ class TestSummarizeAggregations:
         assert f"no {MANIFEST_FILENAME}" in text
 
     def _run_dir_with_trace(self, tmp_path):
-        tracer = Tracer("failed-run")
-        tracer.events = _synthetic_events()
-        run_dir = tmp_path / "results" / "traces" / "failed-run"
-        run_dir.mkdir(parents=True)
-        tracer.write(run_dir / "trace.jsonl")
+        run_dir = tmp_path / "traces" / "failed-run"
+        _write_stream(run_dir, "failed-run")
         return run_dir
 
     def test_summarize_tolerates_failure_path_manifest(self, tmp_path):
@@ -492,19 +490,19 @@ class TestSummarizeAggregations:
             "duration_s": None,
             "finished_at": "",
             "phases": None,
-            "files": ["trace.jsonl", "trace.chrome.json"],
+            "files": [STREAM_FILENAME, "trace.chrome.json"],
         }))
-        text = summarize("failed-run", root=tmp_path)
+        text = summarize("failed-run", tmp_path / "traces")
         assert "did not finish cleanly" in text
         assert "trace.chrome.json" in text and "absent" in text
         assert "partial summary" in text
         assert "INCOMPLETE" in text  # required fields still reported
-        assert "evaluate_schemes" in text  # trace sections still render
+        assert "evaluate_schemes" in text  # stream sections still render
 
     def test_summarize_tolerates_corrupt_manifest(self, tmp_path):
         run_dir = self._run_dir_with_trace(tmp_path)
         (run_dir / MANIFEST_FILENAME).write_text("{ truncated")
-        text = summarize("failed-run", root=tmp_path)
+        text = summarize("failed-run", tmp_path / "traces")
         assert "unreadable manifest" in text
         assert "partial summary" in text
         assert "2 jobs on 2 worker(s)" in text
@@ -514,53 +512,67 @@ class TestSummarizeAggregations:
         (run_dir / MANIFEST_FILENAME).write_text(json.dumps({
             "schema": "repro.obs.manifest",
             "run_id": "failed-run",
-            "files": ["trace.jsonl"],
+            "files": [STREAM_FILENAME],
         }))
-        text = summarize("failed-run", root=tmp_path)
+        text = summarize("failed-run", tmp_path / "traces")
         assert "no Chrome/Perfetto export" in text
 
     def test_resolve_trace_path_variants(self, tmp_path):
-        run_dir = tmp_path / "results" / "traces" / "runx"
+        run_dir = tmp_path / "traces" / "runx"
         run_dir.mkdir(parents=True)
-        trace = run_dir / "trace.jsonl"
-        trace.write_text("{}\n")
-        assert resolve_trace_path(trace) == trace
-        assert resolve_trace_path(run_dir) == trace
-        assert resolve_trace_path("runx", root=tmp_path) == trace
-        with pytest.raises(FileNotFoundError):
-            resolve_trace_path("nope", root=tmp_path)
+        stream = run_dir / STREAM_FILENAME
+        stream.write_text("{}\n")
+        assert resolve_trace_path(stream) == stream
+        assert resolve_trace_path(run_dir) == stream
+        assert resolve_trace_path("runx", tmp_path / "traces") == stream
+        with pytest.raises(FileNotFoundError, match=STREAM_FILENAME):
+            resolve_trace_path("nope", tmp_path / "traces")
 
 
 # --- scheme replay ------------------------------------------------------------
 
 
-class TestEmitSchemeEvents:
-    def _result(self):
-        sample = SimpleNamespace(eb=0.5, bw=0.4, cmr=0.1)
-        return SimpleNamespace(
-            workload="BLK_TRD",
-            scheme="pbs-ws",
-            result=SimpleNamespace(windows=[(1000.0, {0: sample})]),
-            decisions=[{"kind": "sample", "cycle": 900.0,
-                        "combo": [24, 4], "objective": 1.5}],
-        )
+def _scheme_result():
+    sample = SimpleNamespace(eb=0.5, bw=0.4, cmr=0.1, ipc=1.2)
+    return SimpleNamespace(
+        workload="BLK_TRD",
+        scheme="pbs-ws",
+        result=SimpleNamespace(windows=[(1000.0, {0: sample})]),
+        decisions=[{"kind": "sample", "cycle": 900.0,
+                    "combo": [24, 4], "objective": 1.5}],
+    )
 
+
+class TestEmitSchemeEvents:
     def test_emits_counters_and_instants(self):
         from repro.core.runner import emit_scheme_events
 
-        tracer = Tracer("t")
-        emit_scheme_events(self._result(), tracer=tracer)
-        counter, instant = tracer.events
-        assert counter.name == "BLK_TRD|pbs-ws|app0"
-        assert counter.args == {"eb": 0.5, "bw": 0.4, "cmr": 0.1}
-        assert instant.name == "pbs.sample"
-        assert instant.args["workload"] == "BLK_TRD"
-        assert instant.ts == 900.0 and instant.clock == CLOCK_CYCLES
+        q: "queue.Queue[dict]" = queue.Queue()
+        set_publisher(QueuePublisher(q, worker=False))
+        try:
+            emit_scheme_events(_scheme_result())
+        finally:
+            set_publisher(None)
+        window, decision = _drain(q)
+        assert (window["workload"], window["scheme"], window["app"]) == (
+            "BLK_TRD", "pbs-ws", 0,
+        )
+        assert (window["eb"], window["bw"], window["cmr"]) == (0.5, 0.4, 0.1)
+        assert decision["kind"] == "sample" and decision["cycle"] == 900.0
+        assert decision["combo"] == [24, 4] and decision["objective"] == 1.5
 
     def test_disabled_tracer_emits_nothing(self):
         from repro.core.runner import emit_scheme_events
 
-        emit_scheme_events(self._result(), tracer=NullTracer())  # no raise
+        emit_scheme_events(_scheme_result())  # NullPublisher: no raise
+        # a worker publisher leaves emission to the parent
+        q: "queue.Queue[dict]" = queue.Queue()
+        set_publisher(QueuePublisher(q, worker=True))
+        try:
+            emit_scheme_events(_scheme_result())
+        finally:
+            set_publisher(None)
+        assert q.empty()
 
 
 # --- the CLI gate -------------------------------------------------------------
@@ -593,11 +605,14 @@ class TestCLITrace:
         assert code == 0
         (run_dir,) = trace_dir.iterdir()
         assert run_dir.name.startswith("compare-")
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            [STREAM_FILENAME, "trace.chrome.json", MANIFEST_FILENAME]
+        )
 
-        header, events = load_trace(run_dir / "trace.jsonl")
+        header, records = load_live(run_dir / STREAM_FILENAME)
         assert header["run_id"] == run_dir.name
-        assert window_timelines(events)  # per-app EB/BW/CMR present
-        log = decision_log(events)
+        assert window_timelines(records)  # per-app EB/BW/CMR present
+        log = decision_log(records)
         pbs_entries = log[("BLK_TRD", "pbs-ws")]
         assert any(d["kind"] == "sample" for d in pbs_entries)
         assert any(d["kind"] in ("final", "settled") for d in pbs_entries)
@@ -610,6 +625,7 @@ class TestCLITrace:
         assert manifest["command"] == "compare"
         assert manifest["cache_format"] >= 3
         assert manifest["phases"]  # per-phase wall timings recorded
+        assert manifest["files"] == sorted([STREAM_FILENAME, "trace.chrome.json"])
         capsys.readouterr()
 
         # the summarize subcommand reconstructs the run's story
@@ -625,7 +641,7 @@ class TestCLITrace:
         main(["--config", "small", "--quick", "--jobs", "1",
               "run", "BLK", "TRD", "--scheme", "besttlp",
               "--trace", "--trace-dir", str(isolated_store / "t")])
-        assert not get_tracer().enabled
+        assert not get_publisher().enabled
 
     def test_summarize_missing_run_exits_2(self, capsys):
         from repro.cli import main

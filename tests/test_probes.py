@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import small_config
+from repro.obs.live import validate_live_record
 from repro.sim.engine import Simulator
 from repro.sim.probes import (
     LatencyHistogram,
@@ -86,29 +87,31 @@ class TestProbeEvents:
         hist = LatencyHistogram()
         hist.record(2, 100.0)
         hist.record(0, 50.0)
-        events = hist.to_events(ts=1234.0)
-        assert [e.name for e in events] == ["latency.app0", "latency.app2"]
-        for e in events:
-            assert e.ph == "i" and e.cat == "probe" and e.clock == "cycles"
-            assert e.ts == 1234.0
-            assert e.args["p50"] <= e.args["p99"]
+        records = hist.to_events(cycle=1234.0)
+        assert [r["name"] for r in records] == ["latency.app0", "latency.app2"]
+        for r in records:
+            assert validate_live_record(r) == []
+            assert r["type"] == "probe" and r["cycle"] == 1234.0
+            assert r["values"]["p50"] <= r["values"]["p99"]
         assert LatencyHistogram().to_events() == []
 
     def test_queue_probe_to_events(self):
         probe = QueueDepthProbe()
         probe.samples.extend([(500.0, 0, 3, 0), (500.0, 1, 7, 2)])
-        events = probe.to_events()
-        assert [e.name for e in events] == ["dram.ch0", "dram.ch1"]
-        assert events[1].args == {"queue": 7, "deferred": 2}
-        assert all(e.ph == "C" and e.clock == "cycles" for e in events)
+        records = probe.to_events()
+        assert [r["name"] for r in records] == ["dram.ch0", "dram.ch1"]
+        assert records[1]["values"] == {"queue": 7, "deferred": 2}
+        assert all(r["cycle"] == 500.0 for r in records)
+        assert all(validate_live_record(r) == [] for r in records)
 
     def test_occupancy_probe_to_events(self):
         probe = OccupancyProbe()
         probe.samples.append((2000.0, {1: 40, 0: 60}))
-        (event,) = probe.to_events()
-        assert event.name == "l2.occupancy"
-        assert list(event.args) == ["app0", "app1"]  # sorted by app id
-        assert event.args == {"app0": 60, "app1": 40}
+        (record,) = probe.to_events()
+        assert record["name"] == "l2.occupancy"
+        assert list(record["values"]) == ["app0", "app1"]  # sorted by app id
+        assert record["values"] == {"app0": 60, "app1": 40}
+        assert validate_live_record(record) == []
 
 
 class TestProbesOnSimulator:

@@ -418,12 +418,12 @@ class TestRaceRule:
     def _tree(self, worker_body: str) -> dict[str, str]:
         return {
             "src/repro/exec/pool.py": _POOL,
-            "src/repro/obs/trace.py": "def set_tracer(t):\n    pass\n",
+            "src/repro/obs/metrics.py": "def set_metrics(r):\n    pass\n",
             "src/repro/exec/state.py": "CACHE = {}\n",
             "src/repro/exec/sweep.py": (
                 "from repro.exec.pool import run_jobs\n"
                 "from repro.exec import state\n"
-                "from repro.obs.trace import set_tracer\n"
+                "from repro.obs.metrics import set_metrics\n"
                 "_SEEN = []\n"
                 "def worker(spec):\n"
                 f"{worker_body}"
@@ -453,9 +453,9 @@ class TestRaceRule:
 
     def test_ambient_installer_trips(self, tmp_path):
         findings = lint_tree(
-            tmp_path, self._tree("    set_tracer(None)\n"), select=["R010"]
+            tmp_path, self._tree("    set_metrics(None)\n"), select=["R010"]
         )
-        assert any("set_tracer" in f.message for f in findings)
+        assert any("set_metrics" in f.message for f in findings)
 
     def test_raw_write_in_worker_trips(self, tmp_path):
         findings = lint_tree(

@@ -234,16 +234,6 @@ class TestClockBoundaries:
         files = {"src/repro/obs/chrome.py": self.CONVERSION}
         assert lint_tree(tmp_path, files, select=["R012", "R013"]) == []
 
-    def test_tracer_complete_is_an_allowed_boundary(self, tmp_path):
-        files = {"src/repro/obs/trace.py": (
-            "from repro.units import Cycles, WallSeconds\n"
-            "class Tracer:\n"
-            "    def complete(self, origin: WallSeconds, now: Cycles)"
-            " -> WallSeconds:\n"
-            "        return origin + now * 1e-9\n"
-        )}
-        assert lint_tree(tmp_path, files, select=["R012", "R013"]) == []
-
     def test_noqa_suppresses_a_unit_finding(self, tmp_path):
         files = {"src/repro/sim/f.py": (
             "from repro.units import Bytes, Lines\n"
@@ -481,7 +471,7 @@ class TestRealTreeUnits:
         # The analysis actually covered the sim/metrics/core/obs layers.
         for module in ("repro.sim.engine", "repro.sim.stats",
                        "repro.metrics.bandwidth", "repro.core.controller",
-                       "repro.obs.trace"):
+                       "repro.obs.live"):
             assert module in doc["checked_modules"]
         ws = doc["modules"]["repro.sim.stats"]["classes"]["WindowSample"]
         assert ws["bw"] == "frac-of-peak"
