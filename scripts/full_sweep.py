@@ -25,14 +25,14 @@ SCHEMES = ("besttlp", "maxtlp", "dyncta", "ccws", "modbypass",
            "opt-ws", "opt-fi", "opt-hs")
 
 def run_sweep(ctx):
-    rows = {}
-    for pair_names in EVALUATED_PAIRS:
-        name = "_".join(pair_names)
-        apps = ctx.pair_apps(*pair_names)
-        t0 = time.time()
-        rows[name] = ctx.schemes(apps, SCHEMES)
-        r = rows[name]
-        print(f"{name:10s} ({time.time()-t0:5.1f}s) "
+    t0 = time.time()
+    tables = ctx.schemes_for(
+        [ctx.pair_apps(*names) for names in EVALUATED_PAIRS], SCHEMES)
+    print(f"{len(tables)} workloads x {len(SCHEMES)} schemes "
+          f"in {time.time()-t0:.1f}s")
+    rows = {"_".join(names): r for names, r in zip(EVALUATED_PAIRS, tables)}
+    for name, r in rows.items():
+        print(f"{name:10s} "
               f"WS: base={r['besttlp'].ws:.2f} pbs={r['pbs-ws'].ws:.2f} "
               f"off={r['pbs-offline-ws'].ws:.2f} bf={r['bf-ws'].ws:.2f} opt={r['opt-ws'].ws:.2f} | "
               f"FI: base={r['besttlp'].fi:.2f} pbs={r['pbs-fi'].fi:.2f} "

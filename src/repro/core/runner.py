@@ -56,9 +56,11 @@ __all__ = [
     "SchemeResult",
     "ALL_SCHEMES",
     "alone_from_sweep",
+    "alone_jobs",
     "emit_scheme_events",
     "profile_alone",
     "profile_surface",
+    "surface_jobs",
     "run_combo",
     "evaluate_scheme",
 ]
@@ -207,6 +209,30 @@ def alone_from_sweep(abbr: str, sweep: dict[int, WindowSample]) -> AloneProfile:
     )
 
 
+def alone_jobs(
+    config: GPUConfig,
+    app: "AppProfile",
+    n_cores: int,
+    lengths: RunLengths = RunLengths(),
+    seed: int | None = None,
+    levels: tuple[int, ...] = TLP_LEVELS,
+) -> list[SimJob]:
+    """The runs of an alone sweep: ``app`` on ``n_cores`` at each level."""
+    return [
+        SimJob(
+            config=config,
+            apps=(app,),
+            combo=(level,),
+            cycles=lengths.profile_cycles,
+            warmup=lengths.profile_warmup,
+            seed=seed,
+            core_split=(n_cores,),
+            tag=("alone", app.abbr, level),
+        )
+        for level in levels
+    ]
+
+
 def profile_alone(
     config: GPUConfig,
     app: "AppProfile",
@@ -225,19 +251,7 @@ def profile_alone(
     are independent and execute on ``n_jobs`` processes (see
     :mod:`repro.exec`).
     """
-    jobs = [
-        SimJob(
-            config=config,
-            apps=(app,),
-            combo=(level,),
-            cycles=lengths.profile_cycles,
-            warmup=lengths.profile_warmup,
-            seed=seed,
-            core_split=(n_cores,),
-            tag=("alone", app.abbr, level),
-        )
-        for level in levels
-    ]
+    jobs = alone_jobs(config, app, n_cores, lengths, seed, levels)
     results = run_jobs(run_sim_job, jobs, n_jobs=n_jobs, progress=progress)
     sweep = {level: result.samples[0] for level, result in zip(levels, results)}
     return alone_from_sweep(app.abbr, sweep)
@@ -267,6 +281,31 @@ def run_combo(
     return sim.run(cycles, warmup=warmup, initial_tlp=initial)
 
 
+def surface_jobs(
+    config: GPUConfig,
+    apps: "list[AppProfile]",
+    lengths: RunLengths = RunLengths(),
+    seed: int | None = None,
+    levels: tuple[int, ...] = TLP_LEVELS,
+    core_split: tuple[int, ...] | None = None,
+) -> list[SimJob]:
+    """The runs of a surface: one per TLP combination, in lattice order."""
+    name = "_".join(a.abbr for a in apps)
+    return [
+        SimJob(
+            config=config,
+            apps=tuple(apps),
+            combo=combo,
+            cycles=lengths.profile_cycles,
+            warmup=lengths.profile_warmup,
+            seed=seed,
+            core_split=core_split,
+            tag=("surface", name, combo),
+        )
+        for combo in all_combos(len(apps), levels)
+    ]
+
+
 def profile_surface(
     config: GPUConfig,
     apps: "list[AppProfile]",
@@ -284,23 +323,9 @@ def profile_surface(
     regardless of completion order, so parallel and serial sweeps are
     identical.
     """
-    name = "_".join(a.abbr for a in apps)
-    combos = list(all_combos(len(apps), levels))
-    jobs = [
-        SimJob(
-            config=config,
-            apps=tuple(apps),
-            combo=combo,
-            cycles=lengths.profile_cycles,
-            warmup=lengths.profile_warmup,
-            seed=seed,
-            core_split=core_split,
-            tag=("surface", name, combo),
-        )
-        for combo in combos
-    ]
+    jobs = surface_jobs(config, apps, lengths, seed, levels, core_split)
     results = run_jobs(run_sim_job, jobs, n_jobs=n_jobs, progress=progress)
-    return dict(zip(combos, results))
+    return {job.combo: result for job, result in zip(jobs, results)}
 
 
 def _static_combo_for(

@@ -10,8 +10,8 @@ process and returns the :class:`~repro.sim.engine.SimResult`.
 Only *uncontrolled* (fixed-TLP) runs are expressed as ``SimJob``s:
 profiling sweeps are thousands of short fixed-combination runs, which is
 where parallelism pays.  Controller-driven scheme evaluations go through
-:meth:`repro.experiments.common.ExperimentContext.schemes`, which
-parallelizes at the scheme level instead.
+:meth:`repro.experiments.common.ExperimentContext.schemes_for`, which
+parallelizes at the (workload, scheme) level instead.
 
 :class:`OpenSimJob` is the open-system counterpart: an initial roster,
 a tuple of :class:`~repro.sim.tenancy.TenancyEvent` arrivals and

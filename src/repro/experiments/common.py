@@ -28,17 +28,19 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.config import GPUConfig, TLP_LEVELS
+from repro.config import GPUConfig
 from repro.core.runner import (
+    ALL_SCHEMES,
     AloneProfile,
     RunLengths,
     SchemeResult,
     alone_from_sweep,
+    alone_jobs,
     emit_scheme_events,
     evaluate_scheme,
-    profile_surface,
+    surface_jobs,
 )
-from repro.exec.jobs import SimJob, run_sim_job
+from repro.exec.jobs import run_sim_job
 from repro.exec.pool import ProgressFn, run_jobs
 from repro.obs.io import atomic_write_text
 from repro.obs.live import get_publisher
@@ -79,6 +81,11 @@ SCHEME_VERSIONS: dict[str, int] = {
     "modbypass": 1,
     "static": 1,  # besttlp / maxtlp / bf-* / opt-*
 }
+
+
+def _searches(scheme: str) -> bool:
+    """Does ``scheme`` pick its combination from a profiled surface?"""
+    return scheme.startswith(("bf-", "opt-", "pbs-offline-"))
 
 
 def _scheme_version(scheme: str) -> int:
@@ -259,21 +266,6 @@ class ExperimentContext:
             },
         )
 
-    def _alone_jobs(self, app: AppProfile, n_cores: int) -> list[SimJob]:
-        return [
-            SimJob(
-                config=self.config,
-                apps=(app,),
-                combo=(level,),
-                cycles=self.lengths.profile_cycles,
-                warmup=self.lengths.profile_warmup,
-                seed=self.seed,
-                core_split=(n_cores,),
-                tag=("alone", app.abbr, level),
-            )
-            for level in TLP_LEVELS
-        ]
-
     def alone(self, app: AppProfile, n_cores: int | None = None) -> AloneProfile:
         n_cores = n_cores if n_cores is not None else self.config.n_cores // 2
         return self.alone_for([app], n_cores=n_cores)[0]
@@ -281,77 +273,106 @@ class ExperimentContext:
     def alone_for(
         self, apps: list[AppProfile], n_cores: int | None = None
     ) -> list[AloneProfile]:
-        """Alone-profile every application, sweeping all of them at once.
-
-        The uncached applications' per-level runs are flattened into one
-        job batch so a single pool pass covers e.g. the whole 26-app zoo
-        (208 independent simulations) instead of one 8-level sweep at a
-        time.
-        """
+        """Alone-profile every application on ``n_cores`` (default: its
+        share of a co-run of ``apps``), in one pool batch."""
         n_cores = n_cores if n_cores is not None else self.config.n_cores // len(apps)
-        keys = [self._alone_key(app, n_cores) for app in apps]
-        profiles: dict[int, AloneProfile] = {}
-        missing: list[int] = []
-        for i, key in enumerate(keys):
+        return self._alone_profiles([(app, n_cores) for app in apps])
+
+    def _alone_profiles(
+        self, requests: list[tuple[AppProfile, int]]
+    ) -> list[AloneProfile]:
+        """Alone-profile each (application, core count), one batch for all.
+
+        The uncached requests' per-level runs, deduplicated by cache
+        key, are flattened into one job batch, so a single pool pass
+        covers e.g. the whole 26-app zoo (208 independent simulations)
+        or every application of a figure's workloads.
+        """
+        keys = [self._alone_key(app, n) for app, n in requests]
+        profiles: dict[str, AloneProfile] = {}
+        missing: dict[str, tuple[AppProfile, int]] = {}
+        for key, request in zip(keys, requests):
+            if key in profiles or key in missing:
+                continue
             cached = self._load_alone(key)
             if cached is not None:
-                profiles[i] = cached
+                profiles[key] = cached
             else:
-                missing.append(i)
+                missing[key] = request
         if missing:
             jobs = [
-                job for i in missing for job in self._alone_jobs(apps[i], n_cores)
+                alone_jobs(self.config, app, n, self.lengths, self.seed)
+                for app, n in missing.values()
             ]
             with get_publisher().span(
                 "profile_alone",
-                apps=[apps[i].abbr for i in missing],
-                n_jobs=len(jobs),
+                apps=[app.abbr for app, _ in missing.values()],
+                n_jobs=sum(map(len, jobs)),
             ):
-                results = run_jobs(
-                    run_sim_job, jobs, n_jobs=self.n_jobs, progress=self.progress
-                )
-            n_levels = len(TLP_LEVELS)
-            for slot, i in enumerate(missing):
-                chunk = results[slot * n_levels : (slot + 1) * n_levels]
+                results = iter(run_jobs(
+                    run_sim_job,
+                    [job for sweep in jobs for job in sweep],
+                    n_jobs=self.n_jobs,
+                    progress=self.progress,
+                ))
+            for key, sweep_jobs in zip(missing, jobs):
                 sweep = {
-                    level: result.samples[0]
-                    for level, result in zip(TLP_LEVELS, chunk)
+                    job.combo[0]: next(results).samples[0] for job in sweep_jobs
                 }
-                profile = alone_from_sweep(apps[i].abbr, sweep)
-                self._save_alone(keys[i], profile)
-                profiles[i] = profile
-        return [profiles[i] for i in range(len(apps))]
+                profile = alone_from_sweep(missing[key][0].abbr, sweep)
+                self._save_alone(key, profile)
+                profiles[key] = profile
+        return [profiles[key] for key in keys]
 
     # --- surfaces ------------------------------------------------------------
+
+    def _surface_key(
+        self, apps: list[AppProfile], core_split: tuple[int, ...] | None
+    ) -> str:
+        return self._profile_key("surface", tuple(repr(a) for a in apps), core_split)
 
     def surface(
         self, apps: list[AppProfile], core_split: tuple[int, ...] | None = None
     ) -> dict[tuple[int, ...], SimResult]:
-        key = self._profile_key("surface", tuple(repr(a) for a in apps), core_split)
-        cached = self.store.load("surface", key)
+        cached = self.store.load("surface", self._surface_key(apps, core_split))
         if cached is not None:
             return {
                 tuple(json.loads(combo)): _result_from_dict(res)
                 for combo, res in cached.items()
             }
+        return self._profile_surfaces([apps], core_split)[0]
+
+    def _profile_surfaces(
+        self, workloads: list[list[AppProfile]], core_split: tuple[int, ...] | None
+    ) -> list[dict[tuple[int, ...], SimResult]]:
+        """Simulate and store every workload's surface, in one pool batch."""
+        jobs = [
+            surface_jobs(
+                self.config, apps, self.lengths, self.seed, core_split=core_split
+            )
+            for apps in workloads
+        ]
         with get_publisher().span(
-            "profile_surface", workload="_".join(a.abbr for a in apps)
+            "profile_surface",
+            workloads=["_".join(a.abbr for a in apps) for apps in workloads],
+            n_jobs=sum(map(len, jobs)),
         ):
-            surface = profile_surface(
-                self.config,
-                apps,
-                lengths=self.lengths,
-                seed=self.seed,
-                core_split=core_split,
+            results = iter(run_jobs(
+                run_sim_job,
+                [job for combos in jobs for job in combos],
                 n_jobs=self.n_jobs,
                 progress=self.progress,
+            ))
+        surfaces = []
+        for apps, combos in zip(workloads, jobs):
+            surface = {job.combo: next(results) for job in combos}
+            self.store.save(
+                "surface",
+                self._surface_key(apps, core_split),
+                {json.dumps(list(c)): _result_to_dict(r) for c, r in surface.items()},
             )
-        self.store.save(
-            "surface",
-            key,
-            {json.dumps(list(c)): _result_to_dict(r) for c, r in surface.items()},
-        )
-        return surface
+            surfaces.append(surface)
+        return surfaces
 
     # --- scheme evaluations ----------------------------------------------------
 
@@ -387,23 +408,19 @@ class ExperimentContext:
             decisions=cached.get("decisions", []),
         )
 
-    def scheme(
+    def _evaluate(
         self,
         apps: list[AppProfile],
         scheme: str,
-        core_split: tuple[int, ...] | None = None,
+        core_split: tuple[int, ...] | None,
     ) -> SchemeResult:
-        name = "_".join(a.abbr for a in apps)
-        key = self._scheme_key(apps, scheme, core_split)
-        cached = self._load_scheme(key)
-        if cached is not None:
-            # Telemetry replays identically from the cached window and
-            # decision logs: a fully cached run still yields a full trace.
-            emit_scheme_events(cached)
-            return cached
+        """Evaluate one scheme and store it; publishes nothing.
+
+        Its prerequisites (alone profiles; the surface of a search
+        scheme) come from the store, where :meth:`schemes_for` put them.
+        """
         alone = self.alone_for(apps)
-        needs_surface = scheme.startswith(("bf-", "opt-", "pbs-offline-"))
-        surface = self.surface(apps, core_split) if needs_surface else None
+        surface = self.surface(apps, core_split) if _searches(scheme) else None
         result = evaluate_scheme(
             self.config,
             apps,
@@ -413,11 +430,11 @@ class ExperimentContext:
             lengths=self.lengths,
             seed=self.seed,
             core_split=core_split,
-            workload=name,
+            workload="_".join(a.abbr for a in apps),
         )
         self.store.save(
             "scheme",
-            key,
+            self._scheme_key(apps, scheme, core_split),
             {
                 "scheme": result.scheme,
                 "workload": result.workload,
@@ -432,8 +449,15 @@ class ExperimentContext:
                 "decisions": result.decisions,
             },
         )
-        emit_scheme_events(result)
         return result
+
+    def scheme(
+        self,
+        apps: list[AppProfile],
+        scheme: str,
+        core_split: tuple[int, ...] | None = None,
+    ) -> SchemeResult:
+        return self.schemes(apps, [scheme], core_split)[scheme]
 
     def schemes(
         self,
@@ -441,56 +465,89 @@ class ExperimentContext:
         schemes: "list[str] | tuple[str, ...]",
         core_split: tuple[int, ...] | None = None,
     ) -> dict[str, SchemeResult]:
-        """Evaluate several schemes on one workload, in parallel.
+        """Evaluate several schemes on one workload (see :meth:`schemes_for`)."""
+        return self.schemes_for([apps], schemes, core_split)[0]
 
-        The shared prerequisites (alone profiles; the surface, if any
-        scheme searches one) are computed first — themselves in parallel
-        across their runs — so the scheme-level workers all hit cache
-        for them.  Each uncached scheme then runs as one pool job that
-        writes its result into the (concurrent-safe) store.
+    def schemes_for(
+        self,
+        workloads: list[list[AppProfile]],
+        schemes: "list[str] | tuple[str, ...]",
+        core_split: tuple[int, ...] | None = None,
+    ) -> list[dict[str, SchemeResult]]:
+        """Evaluate every scheme on every workload, one pool batch per stage.
+
+        Cached evaluations are loaded.  The rest take three stages, each
+        one batch across all the workloads, so the pool is never drained
+        between workloads:
+
+        1. every uncached alone profile, deduplicated by cache key;
+        2. every missing surface of a workload with an uncached search
+           scheme (``bf-*``, ``opt-*``, ``pbs-offline-*``);
+        3. every uncached (workload, scheme) evaluation, one job each,
+           which reads stages 1 and 2 back from the (concurrent-safe)
+           store and writes its result into it.
+
+        Telemetry is published here, in the parent process, once per
+        result: the window and decision logs ride on every
+        SchemeResult, so the stream is the same whether an evaluation
+        ran in a pool worker, in process, or came from the cache.
         """
         schemes = list(schemes)
-        keys = {s: self._scheme_key(apps, s, core_split) for s in schemes}
-        results: dict[str, SchemeResult] = {}
-        missing: list[str] = []
-        for s in schemes:
-            cached = self._load_scheme(keys[s])
-            if cached is not None:
-                results[s] = cached
-            else:
-                missing.append(s)
+        unknown = [s for s in schemes if s not in ALL_SCHEMES]
+        if unknown:
+            raise ValueError(f"unknown schemes {unknown}; known: {ALL_SCHEMES}")
+        tables: list[dict[str, SchemeResult]] = [{} for _ in workloads]
+        missing: list[tuple[int, str]] = []
+        for w, apps in enumerate(workloads):
+            for s in schemes:
+                cached = self._load_scheme(self._scheme_key(apps, s, core_split))
+                if cached is not None:
+                    tables[w][s] = cached
+                else:
+                    missing.append((w, s))
         if missing:
-            self.alone_for(apps)
-            if any(
-                s.startswith(("bf-", "opt-", "pbs-offline-")) for s in missing
-            ):
-                self.surface(apps, core_split)
+            pending = list(dict.fromkeys(w for w, _ in missing))
+            self._alone_profiles([
+                (app, self.config.n_cores // len(workloads[w]))
+                for w in pending
+                for app in workloads[w]
+            ])
+            searching = {
+                self._surface_key(workloads[w], core_split): workloads[w]
+                for w, s in missing
+                if _searches(s)
+            }
+            unprofiled = [
+                apps for key, apps in searching.items()
+                if self.store.load("surface", key) is None
+            ]
+            if unprofiled:
+                self._profile_surfaces(unprofiled, core_split)
+            clone = self._worker_clone()
             tasks = [
                 _SchemeTask(
-                    ctx=self._worker_clone(),
-                    apps=tuple(apps),
+                    ctx=clone,
+                    apps=tuple(workloads[w]),
                     scheme=s,
                     core_split=core_split,
                 )
-                for s in missing
+                for w, s in missing
             ]
             with get_publisher().span(
                 "evaluate_schemes",
-                workload="_".join(a.abbr for a in apps),
-                schemes=list(missing),
+                workloads=["_".join(a.abbr for a in workloads[w]) for w in pending],
+                n_jobs=len(tasks),
             ):
                 computed = run_jobs(
                     _run_scheme_task, tasks,
                     n_jobs=self.n_jobs, progress=self.progress,
                 )
-            results.update(zip(missing, computed))
-        # Emit telemetry in the parent process: the window/decision logs
-        # ride on every SchemeResult, so replaying them here yields the
-        # same stream whether the evaluation ran in a pool worker, in
-        # process, or came from the cache.
-        for s in schemes:
-            emit_scheme_events(results[s])
-        return {s: results[s] for s in schemes}
+            for (w, s), result in zip(missing, computed):
+                tables[w][s] = result
+        for table in tables:
+            for s in schemes:
+                emit_scheme_events(table[s])
+        return [{s: table[s] for s in schemes} for table in tables]
 
     # --- convenience ------------------------------------------------------------
 
@@ -517,5 +574,5 @@ class _SchemeTask:
 
 
 def _run_scheme_task(task: _SchemeTask) -> SchemeResult:
-    """Pool worker: evaluate (and cache) one scheme in a subprocess."""
-    return task.ctx.scheme(list(task.apps), task.scheme, task.core_split)
+    """Pool worker: evaluate (and cache) one scheme, publishing nothing."""
+    return task.ctx._evaluate(list(task.apps), task.scheme, task.core_split)

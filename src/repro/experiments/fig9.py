@@ -73,10 +73,9 @@ def run_comparison(
     pairs=EVALUATED_PAIRS,
     representative=REPRESENTATIVE_PAIRS,
 ) -> SchemeComparison:
+    tables = ctx.schemes_for([ctx.pair_apps(*names) for names in pairs], schemes)
     per_workload: dict[str, dict[str, float]] = {}
-    for names in pairs:
-        apps = ctx.pair_apps(*names)
-        results = ctx.schemes(apps, schemes)
+    for names, results in zip(pairs, tables):
         base_value = getattr(results["besttlp"], metric)
         per_workload["_".join(names)] = {
             s: getattr(r, metric) / max(base_value, 1e-12)

@@ -22,7 +22,7 @@ stream where they left off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.config import GPUConfig
 from repro.units import Cycles, Insts, InstsPerCycle
@@ -57,9 +57,13 @@ class Warp:
     __slots__ = ("warp_id", "app_id", "stream", "active", "parked", "pending",
                  "issue_time", "iterations", "compute_txn", "resp_txn")
 
-    def __init__(self, warp_id: int, app_id: int, stream: WarpStream) -> None:
+    def __init__(
+        self, warp_id: int, app_id: int, stream: WarpStream | None = None
+    ) -> None:
         self.warp_id = warp_id
         self.app_id = app_id
+        #: the warp's instruction stream; the Simulator builds it at the
+        #: warp's first activation, so ``None`` until then
         self.stream = stream
         #: allowed to issue by the current TLP limit
         self.active = False
@@ -110,7 +114,8 @@ class Core:
     """One GPU core: warp contexts + issue server + SWL TLP limit."""
 
     __slots__ = ("core_id", "app_id", "config", "issue", "warps", "tlp",
-                 "fill_txn", "fill_time", "tick_head", "tick_tail")
+                 "core_stream", "fill_txn", "fill_time", "tick_head",
+                 "tick_tail")
 
     def __init__(self, core_id: int, app_id: int, config: GPUConfig) -> None:
         self.core_id = core_id
@@ -119,6 +124,11 @@ class Core:
         self.issue = IssueServer(config.issue_width)
         self.warps: list[Warp] = []
         self.tlp = config.max_tlp
+        #: the owning application's shared per-core cursor, handed to
+        #: every warp stream built on this core; its type is the
+        #: profile's (a ``CoreStream``, one per phase, or ``None`` for a
+        #: replayed trace)
+        self.core_stream: Any = None
         #: the core's most recently scheduled, still-queued L1 fill
         #: transaction and its event time; a new fill due at exactly the
         #: same instant coalesces into it (engine fold, see
@@ -132,7 +142,7 @@ class Core:
         self.tick_head: "MemTxn | None" = None
         self.tick_tail: "MemTxn | None" = None
 
-    def add_warp(self, stream: WarpStream) -> Warp:
+    def add_warp(self, stream: WarpStream | None = None) -> Warp:
         warp = Warp(len(self.warps), self.app_id, stream)
         self.warps.append(warp)
         return warp

@@ -60,7 +60,7 @@ from repro.config import GPUConfig
 from repro.obs.metrics import get_metrics
 from repro.sim.address import AddressMap
 from repro.sim.cache import MSHRTable, SetAssocCache
-from repro.sim.core import Core, Warp
+from repro.sim.core import Core, Warp, WarpStream
 from repro.sim.dram import DRAMChannel, DRAMRequest
 from repro.sim.interconnect import Crossbar
 from repro.sim.stats import StatsCollector, WindowSample
@@ -558,26 +558,35 @@ class Simulator:
 
         Warps of one core share a sequential cursor so adjacent warps
         touch adjacent lines (row locality); each warp owns its two
-        recurring transactions.  Called at construction and again by
-        :class:`~repro.sim.tenancy.Tenancy` when a rebind hands the
-        core to a different application.
+        recurring transactions.  Streams are not built here:
+        :meth:`set_tlp` builds a warp's stream at its first activation,
+        so a run pays only for the warps its TLP enables.  Called at
+        construction and again by :class:`~repro.sim.tenancy.Tenancy`
+        when a rebind hands the core to a different application.
         """
-        profile = self.apps[app_id]
-        core_stream = profile.make_core_stream(
+        core.core_stream = self.apps[app_id].make_core_stream(
             app_id, core.core_id, self.addr_map
         )
-        for w in range(self.config.max_warps_per_core):
-            stream = profile.make_stream(
-                app_id=app_id,
-                core_id=core.core_id,
-                warp_id=w,
-                seed=self.seed,
-                addr_map=self.addr_map,
-                core_stream=core_stream,
-            )
-            warp = core.add_warp(stream)
+        for _ in range(self.config.max_warps_per_core):
+            warp = core.add_warp()
             warp.compute_txn = MemTxn(_COMPUTE_DONE, core, warp)
             warp.resp_txn = MemTxn(_WARP_RESP, core, warp)
+
+    def _warp_stream(self, core: Core, warp: Warp) -> WarpStream:
+        """Build ``warp``'s stream on ``core``.
+
+        When it is built does not matter: each stream's RNG is private
+        and seeded by (seed, app, core, warp), and construction reads
+        only the core cursor's fixed ``base``, never its position.
+        """
+        return self.apps[warp.app_id].make_stream(
+            app_id=warp.app_id,
+            core_id=core.core_id,
+            warp_id=warp.warp_id,
+            seed=self.seed,
+            addr_map=self.addr_map,
+            core_stream=core.core_stream,
+        )
 
     # ------------------------------------------------------------------
     # TLP actuation
@@ -598,6 +607,8 @@ class Simulator:
         self.tlp_timeline.append((now, app_id, tlp))
         for core in self.cores_of_app[app_id]:
             for warp in core.set_tlp(tlp):
+                if warp.stream is None:
+                    warp.stream = self._warp_stream(core, warp)
                 self._start_warp(core, warp, now)
 
     def set_l1_bypass(self, app_id: int, bypass: bool) -> None:
@@ -1046,7 +1057,8 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _start_warp(self, core: Core, warp: Warp, now: Cycles) -> None:
-        n_inst, lines = warp.stream.next_request()
+        # set_tlp built the stream before the warp's first start
+        n_inst, lines = warp.stream.next_request()  # type: ignore[union-attr]
         txn = warp.compute_txn
         txn.n_inst = n_inst
         txn.lines = lines

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import small_config
+from repro.config import TLP_LEVELS, small_config
 from repro.core.runner import RunLengths
 from repro.experiments.common import ExperimentContext, ResultStore
 from repro.workloads.table4 import app_by_abbr
@@ -82,6 +82,12 @@ class TestSchemeCaching:
         assert second.combo == first.combo
         assert len(second.result.tlp_timeline) == len(first.result.tlp_timeline)
 
+    def test_unknown_scheme_rejected_before_simulating(self, ctx, tmp_path):
+        apps = ctx.pair_apps("BLK", "TRD")
+        with pytest.raises(ValueError, match="unknown schemes"):
+            ctx.schemes(apps, ["besttlp", "nope"])
+        assert not list(tmp_path.iterdir())
+
     def test_profile_key_ignores_dynamic_lengths(self, tmp_path):
         """Changing dynamic run lengths must not invalidate surfaces."""
         import dataclasses
@@ -97,3 +103,49 @@ class TestSchemeCaching:
         n_files = len(list(tmp_path.iterdir()))
         b.alone(app)  # must be a cache hit
         assert len(list(tmp_path.iterdir())) == n_files
+
+
+class TestOneBatchPerStage:
+    """A figure runs one pool batch per stage across all its workloads."""
+
+    PAIRS = (("BLK", "TRD"), ("BLK", "FFT"), ("BFS", "LUD"))
+    SCHEMES = ("besttlp", "dyncta", "bf-ws", "opt-ws")
+
+    def _context(self, root, n_jobs):
+        return ExperimentContext(small_config(), RunLengths.quick(), seed=3,
+                                 store=ResultStore(root), n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_comparison_runs_three_batches(self, tmp_path, monkeypatch, n_jobs):
+        import repro.core.runner as runner
+        import repro.experiments.common as common
+        from repro.experiments.fig9 import run_comparison
+
+        batches: list[list] = []
+
+        def counting(real):
+            def run_jobs(worker, specs, n_jobs=None, progress=None):
+                batches.append(list(specs))
+                return real(worker, specs, n_jobs=n_jobs, progress=progress)
+            return run_jobs
+
+        for module in (common, runner):
+            monkeypatch.setattr(module, "run_jobs", counting(module.run_jobs))
+        table = run_comparison(self._context(tmp_path / "batched", n_jobs),
+                               "ws", self.SCHEMES, self.PAIRS, representative=())
+
+        assert len(batches) == 3
+        alone = [job.tag for batch in batches for job in batch
+                 if job.tag[0] == "alone"]
+        distinct = {app for pair in self.PAIRS for app in pair}
+        assert sorted(alone) == sorted(
+            ("alone", app, level) for app in distinct for level in TLP_LEVELS
+        )
+
+        reference = self._context(tmp_path / "per-pair", n_jobs)
+        for names in self.PAIRS:
+            results = reference.schemes(reference.pair_apps(*names), self.SCHEMES)
+            base = results["besttlp"].ws
+            assert table.per_workload["_".join(names)] == {
+                s: r.ws / max(base, 1e-12) for s, r in results.items()
+            }

@@ -635,6 +635,44 @@ class TestCLITrace:
         assert "BLK_TRD pbs-ws app0" in out
         assert "sample" in out
 
+    def test_serial_and_pooled_runs_publish_each_result_once(self, isolated_store):
+        """Every scheme window and decision reaches the stream once,
+        whether the evaluations ran in process or in pool workers."""
+        import shutil
+        from collections import Counter
+
+        from repro.cli import main
+
+        def traced(jobs: int) -> tuple[Counter, Counter]:
+            store = isolated_store / "store"
+            shutil.rmtree(store)
+            store.mkdir()
+            trace_dir = isolated_store / f"traces-{jobs}"
+            assert main([
+                "--config", "small", "--quick", "--jobs", str(jobs),
+                "compare", "BLK", "TRD",
+                "--schemes", "besttlp,dyncta,pbs-ws,opt-ws",
+                "--trace", "--trace-dir", str(trace_dir),
+            ]) == 0
+            (run_dir,) = trace_dir.iterdir()
+            _header, records = load_live(run_dir / STREAM_FILENAME)
+            windows = Counter(
+                (r["workload"], r["scheme"], r["app"], r["cycle"])
+                for r in records
+                if r["type"] == "window" and r["scheme"] not in ("alone", "surface")
+            )
+            decisions = Counter(
+                r["kind"] for r in records if r["type"] == "decision"
+            )
+            return windows, decisions
+
+        serial_windows, serial_decisions = traced(1)
+        pooled_windows, pooled_decisions = traced(2)
+        assert set(serial_windows.values()) == {1}
+        assert serial_windows == pooled_windows
+        assert serial_decisions == pooled_decisions
+        assert serial_decisions["sample"] > 0
+
     def test_tracer_uninstalled_after_run(self, isolated_store):
         from repro.cli import main
 
