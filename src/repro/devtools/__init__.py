@@ -1,10 +1,9 @@
 """Developer tooling: the repo's own static-analysis pass.
 
-``repro.devtools`` hosts an AST-walking lint framework plus the
-repo-specific rules that guard the reproduction's headline guarantees:
+``repro.devtools`` hosts a lint framework plus sixteen repo-specific
+rules that guard the reproduction's headline guarantees.  The per-file
+AST rules live in :mod:`repro.devtools.rules`:
 
-* **R001 determinism** — no unseeded global RNG, no wall-clock reads in
-  the simulator, no iteration over bare sets in sim hot paths;
 * **R002 float-equality** — no ``==``/``!=`` against float expressions
   in library code;
 * **R003 cache-schema drift** — the serialized field sets of
@@ -17,7 +16,15 @@ repo-specific rules that guard the reproduction's headline guarantees:
 * **R005 picklability** — workers and specs handed to the
   ``repro.exec`` pool are module-level and closure-free;
 * **R006 atomic-write** — nothing writes under ``results/`` except
-  through the atomic-replace helpers.
+  through the atomic-replace helpers;
+* **R007 no-print** and **R008 hot-path allocation** in the simulator.
+
+The whole-program rules live in :mod:`repro.devtools.semantic` and
+read cached per-file summaries: **R001 determinism** (no unseeded
+global RNG, no wall-clock reads or set-ordered iteration in the
+simulator), **R009**–**R011** (``MemTxn`` lifecycle, pool-worker races,
+typed core), **R012**/**R013** (units, clock domains) and
+**R014**–**R016** (effect taint, RNG draw order, fingerprint purity).
 
 Run it with ``python -m repro lint [paths...]`` or
 ``python scripts/lint.py``; suppress a finding in place with a

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from repro.devtools.suppressions import scan_noqa
+
 __all__ = ["FileContext", "ProjectContext", "module_name_for"]
 
 
@@ -51,6 +53,12 @@ class FileContext:
     @cached_property
     def lines(self) -> list[str]:
         return self.source.splitlines()
+
+    @cached_property
+    def noqa(self) -> tuple[dict[int, frozenset[str]], dict[int, str]]:
+        """The file's ``# repro: noqa`` maps, scanned once per lint run:
+        ``(suppressions, justifications)`` keyed by line number."""
+        return scan_noqa(self.lines)
 
     @cached_property
     def module(self) -> str | None:

@@ -18,13 +18,7 @@ from pathlib import Path
 from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import all_rules
-from repro.devtools.suppressions import (
-    expand_statement_lines,
-    expand_statement_suppressions,
-    filter_suppressed,
-    line_justifications,
-    line_suppressions,
-)
+from repro.devtools.suppressions import expand_to_statements, filter_suppressed
 
 __all__ = [
     "lint_paths",
@@ -169,18 +163,10 @@ def lint_paths(
         else:
             contexts.append(parsed)
 
-    suppressions = {
-        str(ctx.relpath): expand_statement_suppressions(
-            line_suppressions(ctx.lines), ctx.tree
-        )
-        for ctx in contexts
-    }
-    # Justification tails (``-- reason``), expanded over the same
-    # statement extents: R014-R016 suppressions are inert without one.
-    justifications = {
-        str(ctx.relpath): expand_statement_lines(
-            line_justifications(ctx.lines), ctx.tree
-        )
+    # (suppressions, justifications) per file, expanded over statement
+    # extents: R014-R016 suppressions are inert without a ``-- reason``.
+    noqa = {
+        str(ctx.relpath): expand_to_statements(ctx.tree, *ctx.noqa)
         for ctx in contexts
     }
     for ctx in contexts:
@@ -191,11 +177,7 @@ def lint_paths(
             if rule.scope != "file":
                 continue
             findings.extend(
-                filter_suppressed(
-                    rule.check_file(ctx),
-                    suppressions[relpath],
-                    justifications[relpath],
-                )
+                filter_suppressed(rule.check_file(ctx), *noqa[relpath])
             )
 
     project = ProjectContext(root=root, files=contexts)
@@ -211,12 +193,9 @@ def lint_paths(
         for finding in rule.check_project(project):
             if changed is not None and finding.path not in changed:
                 continue
-            kept = filter_suppressed(
-                [finding],
-                suppressions.get(finding.path, {}),
-                justifications.get(finding.path, {}),
+            findings.extend(
+                filter_suppressed([finding], *noqa.get(finding.path, ({}, {})))
             )
-            findings.extend(kept)
 
     return sorted(findings, key=Finding.sort_key)
 

@@ -66,6 +66,14 @@ class LintRule:
             message=message,
         )
 
+    def at(self, path: str, line: int, message: str) -> Finding:
+        """Build a finding at ``path:line`` (column 0), for project rules
+        that locate findings from summaries rather than AST nodes."""
+        return Finding(
+            rule=self.id, severity=self.severity, path=path, line=line,
+            col=0, message=message,
+        )
+
     def check_file(self, ctx: "FileContext") -> Iterator[Finding]:
         return iter(())
 

@@ -5,15 +5,14 @@ Importing this package registers every rule with
 that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
-The per-file rules (R001–R008) live in this package; the whole-program
-semantic rules (R009–R016) live in :mod:`repro.devtools.semantic` and
+The per-file rules (R002–R008) live in this package; the whole-program
+rules (R001 and R009–R016) live in :mod:`repro.devtools.semantic` and
 are imported here for the same register-on-import effect.
 """
 
 from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
     atomic_write,
     cache_schema,
-    determinism,
     floatcmp,
     hotpath,
     layering,
@@ -30,7 +29,6 @@ from repro.devtools.semantic import (  # noqa: F401  (import-for-effect)
 )
 
 __all__ = [
-    "determinism",
     "floatcmp",
     "cache_schema",
     "layering",

@@ -1,9 +1,10 @@
-"""R014-R016 — whole-program effect & determinism inference.
+"""R001 and R014-R016 — whole-program effect & determinism inference.
 
 Every reproduction claim in this tree rests on bit-identical
 determinism: golden fixtures, serial-vs-pooled identity, cache hits
-keyed by config fingerprints.  R001 polices entropy *syntactically, per
-file*; this module infers an **effect signature** for every function in
+keyed by config fingerprints.  R001 reads the summaries' *direct*
+sites (ambient draws, clock/entropy reads, set-ordered iteration);
+this module also infers an **effect signature** for every function in
 the project and propagates it transitively over the
 :class:`~repro.devtools.semantic.graph.ProjectGraph` call graph, so a
 ``time.time()`` buried two helpers below a seed computation is found
@@ -26,14 +27,21 @@ Effect vocabulary (:data:`EFFECT_KINDS`):
 ``fs-write``
     direct file writes.
 
-Per-function events come from the v3 :class:`~repro.devtools.semantic.
-summary.FileSummary` layer (so they are content-hash cached); this
-module only joins them over resolved call edges — augmented with
-constructor edges (``PBSController(...)`` reaches
-``PBSController.__init__``) so policy factories are auditable.
+Per-function events come from the :class:`~repro.devtools.semantic.
+summary.FileSummary` layer (so they are content-hash cached, and one
+vocabulary decides what counts); this module only classifies them and
+joins them over resolved call edges — augmented with constructor edges
+(``PBSController(...)`` reaches ``PBSController.__init__``) so policy
+factories are auditable.  :func:`direct_sites` is the one classifier of
+state-mutation and fs-write sites, shared with R010
+(:mod:`repro.devtools.semantic.races`).
 
-The rules gated on the inference:
+The rules gated on the summaries and the inference:
 
+* **R001 determinism** — direct sites, no propagation: ambient-RNG
+  draws and ``from random import`` bindings anywhere in ``repro.*``;
+  clock/entropy reads and set-ordered iteration in the simulation
+  layers.
 * **R014 determinism-taint** — unseeded entropy (``ambient-rng``,
   ``clock``, ``entropy``, ``env``) transitively reaching simulation
   state (any function in ``repro.sim``/``repro.core``/
@@ -71,11 +79,10 @@ from typing import TYPE_CHECKING, Any
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
-from repro.devtools.semantic.races import _global_target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
-    from repro.devtools.semantic.summary import FileSummary
+    from repro.devtools.semantic.summary import FileSummary, FunctionInfo
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -86,10 +93,12 @@ __all__ = [
     "TELEMETRY_BOUNDARY",
     "BASELINE_RELPATH",
     "EffectWorld",
+    "direct_sites",
     "effects_world_for",
     "effects_graph_doc",
     "validate_effects_graph",
     "update_baseline",
+    "DeterminismRule",
     "EffectTaintRule",
     "DrawOrderRule",
     "FingerprintPurityRule",
@@ -152,11 +161,15 @@ _FINGERPRINT_SUFFIXES = (
 BASELINE_RELPATH = Path("src") / "repro" / "devtools" / "effects_baseline.txt"
 
 
-def _in_sim_layer(module: str) -> bool:
+def _in_package(module: str, *packages: str) -> bool:
     return any(
-        module == layer or module.startswith(layer + ".")
-        for layer in _SIM_LAYERS
+        module == package or module.startswith(package + ".")
+        for package in packages
     )
+
+
+def _in_sim_layer(module: str) -> bool:
+    return _in_package(module, *_SIM_LAYERS)
 
 
 def _is_fingerprint_root(key: str, module: str) -> bool:
@@ -182,6 +195,60 @@ def _event_kind(event: dict[str, Any]) -> str | None:
     return None
 
 
+def _global_target(
+    graph: ProjectGraph, summary: "FileSummary", target: str
+) -> str | None:
+    """Resolve a mutation target to the ``module.NAME`` of a module-level
+    mutable binding, or ``None`` if it is only ever local state."""
+    head, _, tail = target.partition(".")
+    if not tail:
+        if target in summary.mutable_globals:
+            return f"{summary.module}.{target}"
+        return None
+    # ``mod.NAME`` through a plain import, one attribute deep.
+    if "." in tail:
+        return None
+    imported = summary.imports.get(head)
+    if imported is None:
+        return None
+    owner = graph.modules.get(imported)
+    if owner is not None and tail in owner.mutable_globals:
+        return f"{owner.module}.{tail}"
+    return None
+
+
+def direct_sites(
+    graph: ProjectGraph, summary: "FileSummary", info: "FunctionInfo"
+) -> list[dict[str, Any]]:
+    """Every direct ``state-mutation`` and ``fs-write`` site of one unit,
+    mutations first, each in summary order.
+
+    A mutation counts when it rebinds a ``global`` (``owner`` None) or
+    mutates a module-level mutable binding, here or through an import
+    (``owner`` is its ``module.NAME``).  Each site carries ``kind``,
+    ``line`` and ``source``; mutation sites also the summary's
+    mutation record.
+    """
+    sites: list[dict[str, Any]] = []
+    for mut in info.mutations:
+        owner = None
+        if mut["op"] not in ("global-assign", "augassign"):
+            owner = _global_target(graph, summary, mut["target"])
+            if owner is None:
+                continue
+        sites.append({
+            "kind": "state-mutation", "line": mut["line"],
+            "source": f"{mut['op']} {mut['target']}",
+            "mutation": mut, "owner": owner,
+        })
+    for write in info.writes:
+        sites.append({
+            "kind": "fs-write", "line": write["line"],
+            "source": write["kind"],
+        })
+    return sites
+
+
 class EffectWorld:
     """Per-function effect signatures, joined over the call graph.
 
@@ -198,6 +265,8 @@ class EffectWorld:
         self.module_of: dict[str, str] = {}
         #: function key -> {kind: origin record}
         self.effects: dict[str, dict[str, dict[str, Any]]] = {}
+        #: function key -> its :func:`direct_sites`
+        self.sites: dict[str, list[dict[str, Any]]] = {}
         #: function key -> [(callee key, callsite line, unordered,
         #: clock_dep)] — resolved calls plus constructor edges.
         self.edges: dict[str, list[tuple[str, int, bool, bool]]] = {}
@@ -223,26 +292,13 @@ class EffectWorld:
                             "line": event["line"],
                             "source": event.get("source", kind),
                         }
-                for mut in info.mutations:
-                    if "state-mutation" in eff:
-                        break
-                    if (
-                        mut["op"] in ("global-assign", "augassign")
-                        or _global_target(graph, summary, mut["target"])
-                        is not None
-                    ):
-                        eff["state-mutation"] = {
-                            "path": summary.path,
-                            "line": mut["line"],
-                            "source": f"{mut['op']} {mut['target']}",
-                        }
-                if info.writes and "fs-write" not in eff:
-                    write = info.writes[0]
-                    eff["fs-write"] = {
+                self.sites[key] = direct_sites(graph, summary, info)
+                for site in self.sites[key]:
+                    eff.setdefault(site["kind"], {
                         "path": summary.path,
-                        "line": write["line"],
-                        "source": write["kind"],
-                    }
+                        "line": site["line"],
+                        "source": site["source"],
+                    })
                 edges: list[tuple[str, int, bool, bool]] = []
                 for call in info.calls:
                     callee = self._resolve(summary, mod, qual, call["name"])
@@ -332,10 +388,6 @@ class EffectWorld:
                 links.append((origin["path"], origin["line"], current))
                 break
         return links
-
-    @staticmethod
-    def render_chain(links: list[tuple[str, int, str]]) -> str:
-        return " -> ".join(f"{path}:{line}" for path, line, _key in links)
 
     def has_draw(self, key: str) -> bool:
         return bool(DRAW_KINDS & self.effects.get(key, {}).keys())
@@ -503,76 +555,38 @@ def effects_world_for(project: "ProjectContext") -> EffectWorld:
 # -- policy-factory audit ----------------------------------------------------
 
 
-def policy_audit(
-    project: "ProjectContext", world: EffectWorld
-) -> list[dict[str, Any]]:
-    """Effect audit of every ``register_policy(name, factory)`` site.
-
-    Registration happens at module level (outside any function), so the
-    summaries do not see it; this walks the file ASTs like R005 does
-    and resolves the factory reference through the project graph.
-    """
-    import ast
-
-    graph = world.graph
+def policy_audit(world: EffectWorld) -> list[dict[str, Any]]:
+    """Effect audit of every ``register_policy(name, factory)`` site,
+    from the summaries' call records (module level or in a function),
+    with the factory reference resolved through the project graph."""
     records: list[dict[str, Any]] = []
-    for ctx in project.files:
-        module = ctx.module
-        if module is None or module not in graph.modules:
-            continue
-        summary = graph.modules[module]
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = (
-                func.id if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute)
-                else None
-            )
-            if callee != "register_policy":
-                continue
-            factory_node = node.args[1] if len(node.args) >= 2 else None
-            for kw in node.keywords:
-                if kw.arg == "factory":
-                    factory_node = kw.value
-            if not isinstance(factory_node, (ast.Name, ast.Attribute)):
-                continue
-            parts: list[str] = []
-            sub: ast.expr = factory_node
-            while isinstance(sub, ast.Attribute):
-                parts.append(sub.attr)
-                sub = sub.value
-            if isinstance(sub, ast.Name):
-                parts.append(sub.id)
-            ref = ".".join(reversed(parts))
-            factory_key = world._resolve(summary, module, "", ref)
-            if factory_key is None:
-                continue
-            name_node = node.args[0] if node.args else None
-            policy_name = (
-                name_node.value
-                if isinstance(name_node, ast.Constant)
-                and isinstance(name_node.value, str)
-                else None
-            )
-            tainted = sorted(
-                TAINT_KINDS & world.effects.get(factory_key, {}).keys()
-            )
-            records.append({
-                "policy": policy_name,
-                "factory": factory_key,
-                "path": str(ctx.relpath),
-                "line": node.lineno,
-                "taint": tainted,
-                "chains": {
-                    kind: [
-                        f"{p}:{ln} {k}"
-                        for p, ln, k in world.chain(factory_key, kind)
-                    ]
-                    for kind in tainted
-                },
-            })
+    for module, summary in world.graph.modules.items():
+        for qual, info in summary.functions.items():
+            for call in info.calls:
+                if "factory" not in call:
+                    continue
+                factory_key = world._resolve(
+                    summary, module, qual, call["factory"]
+                )
+                if factory_key is None:
+                    continue
+                tainted = sorted(
+                    TAINT_KINDS & world.effects.get(factory_key, {}).keys()
+                )
+                records.append({
+                    "policy": call["policy"],
+                    "factory": factory_key,
+                    "path": summary.path,
+                    "line": call["line"],
+                    "taint": tainted,
+                    "chains": {
+                        kind: [
+                            f"{p}:{ln} {k}"
+                            for p, ln, k in world.chain(factory_key, kind)
+                        ]
+                        for kind in tainted
+                    },
+                })
     records.sort(key=lambda r: (r["path"], r["line"]))
     return records
 
@@ -618,6 +632,60 @@ def update_baseline(project: "ProjectContext") -> tuple[Path, set[str]]:
 
 
 @register
+class DeterminismRule(LintRule):
+    id = "R001"
+    name = "determinism"
+    rationale = (
+        "all randomness flows from the run seed; no wall-clock or "
+        "set-order leaks into simulation state"
+    )
+    scope = "project"
+
+    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+        # Library code only: tests may use ambient randomness to build
+        # fixtures, and scripts may time themselves with time.time().
+        graph = graph_for_project(project)
+        for module, summary in sorted(graph.modules.items()):
+            if not _in_package(module, "repro"):
+                continue
+            in_sim_layer = _in_sim_layer(module)
+            for binding in summary.random_imports:
+                yield self.at(
+                    summary.path, binding["line"],
+                    f"'from random import {binding['name']}' binds the "
+                    "module-level RNG; construct a seeded random.Random "
+                    "instead",
+                )
+            for info in summary.functions.values():
+                for event in info.effects:
+                    kind = _event_kind(event)
+                    if kind == "ambient-rng":
+                        yield self.at(
+                            summary.path, event["line"],
+                            f"unseeded module-level RNG call "
+                            f"'{event['source']}()'; draw from a "
+                            "random.Random or np.random.default_rng "
+                            "seeded from the run seed",
+                        )
+                    elif in_sim_layer and kind in ("clock", "entropy"):
+                        yield self.at(
+                            summary.path, event["line"],
+                            f"'{event['source']}()' reads ambient "
+                            "time/entropy inside the simulation layer; "
+                            "derive everything from the run seed and "
+                            "simulated clock",
+                        )
+                if in_sim_layer:
+                    for line in info.unordered_iters:
+                        yield self.at(
+                            summary.path, line,
+                            "iterating a set: iteration order is "
+                            "process-salted; sort it (or use a dict) "
+                            "before it can reach simulation state",
+                        )
+
+
+@register
 class EffectTaintRule(LintRule):
     id = "R014"
     name = "determinism-taint"
@@ -636,7 +704,7 @@ class EffectTaintRule(LintRule):
                 if record["n_sinks"] > 1
                 else ""
             )
-            yield self._at(
+            yield self.at(
                 record["path"], record["line"],
                 f"determinism taint: {record['source']} ({record['kind']}) "
                 f"reaches {record['sink_what']} via "
@@ -644,22 +712,16 @@ class EffectTaintRule(LintRule):
                 f"[sink {record['sink']}]{extra}; seed explicitly or "
                 "justify with `repro: noqa[R014] -- reason`",
             )
-        for record in policy_audit(project, world):
+        for record in policy_audit(world):
             for kind in record["taint"]:
                 chain = record["chains"][kind]
-                yield self._at(
+                yield self.at(
                     record["path"], record["line"],
                     f"policy factory {record['factory']} (registered "
                     f"as {record['policy']!r}) transitively reads "
                     f"{kind} via {' -> '.join(reversed(chain))} — "
                     "policies run inside the deterministic engine",
                 )
-
-    def _at(self, path: str, line: int, message: str) -> Finding:
-        return Finding(
-            rule=self.id, severity=self.severity, path=path, line=line,
-            col=0, message=message,
-        )
 
 
 @register
@@ -675,15 +737,12 @@ class DrawOrderRule(LintRule):
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         world = effects_world_for(project)
         for record in world.draw_order_records():
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=record["path"], line=record["line"], col=0,
-                message=(
-                    f"rng draw-order hazard: {record['detail']} "
-                    f"[{' -> '.join(record['chain'])}]; iterate a "
-                    "sorted() view or hoist the draw out of the "
-                    "entropy-dependent branch"
-                ),
+            yield self.at(
+                record["path"], record["line"],
+                f"rng draw-order hazard: {record['detail']} "
+                f"[{' -> '.join(record['chain'])}]; iterate a "
+                "sorted() view or hoist the draw out of the "
+                "entropy-dependent branch",
             )
 
 
@@ -705,16 +764,13 @@ class FingerprintPurityRule(LintRule):
             if entry in baseline:
                 continue
             record = purity["entries"][entry]
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=record["path"], line=record["line"], col=0,
-                message=(
-                    f"fingerprint impurity: {record['function']} is "
-                    "reachable from cache-key/fingerprint computation "
-                    f"but has effect {record['kind']} via "
-                    f"{' -> '.join(record['chain'])}; make it pure or "
-                    "re-pin with --update-effects-baseline"
-                ),
+            yield self.at(
+                record["path"], record["line"],
+                f"fingerprint impurity: {record['function']} is "
+                "reachable from cache-key/fingerprint computation "
+                f"but has effect {record['kind']} via "
+                f"{' -> '.join(record['chain'])}; make it pure or "
+                "re-pin with --update-effects-baseline",
             )
 
 
@@ -725,17 +781,13 @@ GRAPH_SCHEMA = "repro.effects_graph/v1"
 
 
 def _suppression_records(project: "ProjectContext") -> list[dict[str, Any]]:
-    """Every R014-R016 noqa in the tree, with its justification."""
-    from repro.devtools.suppressions import (
-        JUSTIFIED_RULES,
-        line_justifications,
-        line_suppressions,
-    )
+    """Every R014-R016 noqa in the tree, with its justification (from
+    the per-file maps the linter already scanned)."""
+    from repro.devtools.suppressions import JUSTIFIED_RULES
 
     records: list[dict[str, Any]] = []
     for ctx in project.files:
-        suppressions = line_suppressions(ctx.lines)
-        justifications = line_justifications(ctx.lines)
+        suppressions, justifications = ctx.noqa
         for lineno in sorted(suppressions):
             ids = suppressions[lineno]
             covered = sorted(
@@ -793,7 +845,7 @@ def effects_graph_doc(project: "ProjectContext") -> dict[str, Any]:
         "functions": functions,
         "taint": world.taint_records(),
         "draw_order": world.draw_order_records(),
-        "policies": policy_audit(project, world),
+        "policies": policy_audit(world),
         "purity": {
             "roots": purity["roots"],
             "frontier": purity["frontier"],

@@ -372,10 +372,3 @@ def graph_for_project(project: Any) -> ProjectGraph:
     graph = build_graph(project.files, cache, jobs=jobs)
     project._semantic_graph = graph
     return graph
-
-
-def parse_and_summarize(
-    module: str, path: str, source: str
-) -> FileSummary:
-    """Convenience for tests: summarize raw source text."""
-    return summarize_file(module, path, ast.parse(source))

@@ -9,25 +9,29 @@ cache or counter that works perfectly under ``n_jobs=1`` (the serial
 fallback runs in-process) and quietly loses every update the moment a
 sweep goes parallel — no exception, just wrong numbers.
 
-The rule works on the :class:`~repro.devtools.semantic.graph.ProjectGraph`:
+The rule is a view of the effect engine
+(:mod:`repro.devtools.semantic.effects`):
 
 1. collect the *worker-reachable* set — every function transitively
    callable from a function handed to ``run_jobs``/``pool.submit``;
-2. inside that set, flag
+2. inside that set, report every direct site the effect engine's one
+   classifier (:func:`~repro.devtools.semantic.effects.direct_sites`)
+   records:
 
    * in-place mutation (``append``/``update``/subscript-store/…) of a
      name that resolves to a module-level mutable binding, in the same
      module or through an import;
    * rebinding or augmenting a name declared ``global`` (same loss, by
      assignment instead of mutation);
-   * calls to the ambient-state installer ``set_metrics`` — the parent
-     never sees counters landing in a registry installed in a child
-     (a worker's ``set_publisher`` is the sanctioned exception: its
-     records cross back to the parent over the stream's queue);
    * raw file writes (``open(..., "w")``, ``Path.write_text`` /
      ``write_bytes``) outside :mod:`repro.obs.io` — concurrent workers
      sharing a path need the atomic-replace helpers, not independent
-     buffered handles.
+     buffered handles;
+
+   plus calls to the ambient-state installer ``set_metrics`` — the
+   parent never sees counters landing in a registry installed in a
+   child (a worker's ``set_publisher`` is the sanctioned exception: its
+   records cross back to the parent over the stream's queue).
 
 Reads of module-level state in workers are fine (each child inherits a
 consistent snapshot); it is the *write-back* that cannot cross the
@@ -41,11 +45,11 @@ from typing import TYPE_CHECKING
 
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
-from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
+from repro.devtools.semantic import effects
+from repro.devtools.semantic.graph import graph_for_project
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
-    from repro.devtools.semantic.summary import FileSummary, FunctionInfo
 
 __all__ = ["ANALYSIS_VERSION", "RaceRule"]
 
@@ -61,28 +65,6 @@ _AMBIENT_INSTALLERS = {
 #: Modules whose own file writes are the atomic-write implementation
 #: (or the pool machinery itself) and therefore exempt.
 _WRITE_EXEMPT_MODULES = frozenset({"repro.obs.io"})
-
-
-def _global_target(
-    graph: ProjectGraph, summary: "FileSummary", target: str
-) -> tuple[str, str] | None:
-    """Resolve a mutation target to ``(module, name)`` of a module-level
-    mutable binding, or ``None`` if it is only ever local state."""
-    head, _, tail = target.partition(".")
-    if not tail:
-        if target in summary.mutable_globals:
-            return summary.module, target
-        return None
-    # ``mod.NAME`` through a plain import, one attribute deep.
-    if "." in tail:
-        return None
-    imported = summary.imports.get(head)
-    if imported is None:
-        return None
-    owner = graph.modules.get(imported)
-    if owner is not None and tail in owner.mutable_globals:
-        return owner.module, tail
-    return None
 
 
 @register
@@ -101,83 +83,53 @@ class RaceRule(LintRule):
         reachable = graph.worker_reachable()
         if not reachable:
             return
-        for mod in sorted(graph.modules):
-            summary = graph.modules[mod]
-            for qual in sorted(summary.functions):
-                key = f"{mod}.{qual}"
-                if key not in reachable:
-                    continue
-                info = summary.functions[qual]
-                yield from self._check_function(graph, summary, key, info)
-
-    # -- per-function checks --------------------------------------------
-
-    def _check_function(
-        self,
-        graph: ProjectGraph,
-        summary: "FileSummary",
-        key: str,
-        info: "FunctionInfo",
-    ) -> Iterator[Finding]:
-        path = summary.path
-        for mut in info.mutations:
-            op = mut["op"]
-            if op in ("global-assign", "augassign"):
-                yield self._at(
-                    path, mut["line"],
-                    f"cross-process race: {key} runs in pool workers but "
-                    f"rebinds module-global {mut['target']!r} — the "
-                    "assignment happens in the child process and the "
-                    "parent never sees it",
-                )
-                continue
-            resolved = _global_target(graph, summary, mut["target"])
-            if resolved is None:
-                continue
-            owner_mod, name = resolved
-            how = mut["method"] or op
-            yield self._at(
-                path, mut["line"],
-                f"cross-process race: {key} runs in pool workers but "
-                f"mutates module-level {owner_mod}.{name} via {how!r} — "
-                "updates made in a worker process are discarded when it "
-                "exits; return the data instead",
-            )
-        for call in info.calls:
-            resolved = graph.resolve_call(
-                summary.module, info.qualname, call["name"]
-            )
-            installer = _AMBIENT_INSTALLERS.get(resolved or "")
-            if installer is None:
-                tail = call["name"].split(".")[-1]
-                if tail in _AMBIENT_INSTALLERS.values() and resolved is None:
-                    installer = tail
-            if installer is not None:
-                yield self._at(
-                    path, call["line"],
-                    f"cross-process race: {key} runs in pool workers but "
-                    f"calls {installer}() — ambient observers installed "
-                    "in a child process are invisible to the parent; "
-                    "install them in the parent and carry data back in "
-                    "the job result",
-                )
-        if summary.module not in _WRITE_EXEMPT_MODULES:
-            for write in info.writes:
-                yield self._at(
-                    path, write["line"],
-                    f"pool-worker file write: {key} runs in pool workers "
-                    f"but writes files directly ({write['kind']}) — "
-                    "concurrent workers tear shared paths; use the "
-                    "atomic helpers in repro.obs.io or write from the "
-                    "parent",
-                )
-
-    def _at(self, path: str, line: int, message: str) -> Finding:
-        return Finding(
-            rule=self.id,
-            severity=self.severity,
-            path=path,
-            line=line,
-            col=0,
-            message=message,
-        )
+        world = effects.effects_world_for(project)
+        for key in sorted(reachable):
+            path = graph.paths[key]
+            module = world.module_of[key]
+            for site in world.sites[key]:
+                if site["kind"] == "fs-write":
+                    if module in _WRITE_EXEMPT_MODULES:
+                        continue
+                    message = (
+                        f"pool-worker file write: {key} runs in pool "
+                        f"workers but writes files directly "
+                        f"({site['source']}) — concurrent workers tear "
+                        "shared paths; use the atomic helpers in "
+                        "repro.obs.io or write from the parent"
+                    )
+                elif site["owner"] is None:
+                    message = (
+                        f"cross-process race: {key} runs in pool workers "
+                        "but rebinds module-global "
+                        f"{site['mutation']['target']!r} — the assignment "
+                        "happens in the child process and the parent "
+                        "never sees it"
+                    )
+                else:
+                    mut = site["mutation"]
+                    message = (
+                        f"cross-process race: {key} runs in pool workers "
+                        f"but mutates module-level {site['owner']} via "
+                        f"{mut['method'] or mut['op']!r} — updates made in "
+                        "a worker process are discarded when it exits; "
+                        "return the data instead"
+                    )
+                yield self.at(path, site["line"], message)
+            info = graph.functions[key]
+            for call in info.calls:
+                resolved = graph.resolve_call(module, info.qualname, call["name"])
+                installer = _AMBIENT_INSTALLERS.get(resolved or "")
+                if installer is None:
+                    tail = call["name"].split(".")[-1]
+                    if tail in _AMBIENT_INSTALLERS.values() and resolved is None:
+                        installer = tail
+                if installer is not None:
+                    yield self.at(
+                        path, call["line"],
+                        f"cross-process race: {key} runs in pool workers but "
+                        f"calls {installer}() — ambient observers installed "
+                        "in a child process are invisible to the parent; "
+                        "install them in the parent and carry data back in "
+                        "the job result",
+                    )

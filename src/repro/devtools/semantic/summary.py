@@ -9,10 +9,17 @@ can key it by content hash):
   builder chases through package facades;
 * every function/method definition, with the calls it makes, the
   function references it passes as arguments (``run_jobs(worker, ...)``,
-  ``partial(f, ...)``), the module-level names it mutates, and the file
-  writes it performs;
+  ``partial(f, ...)``), the module-level names it mutates, the file
+  writes it performs, its effect events and its set-ordered iteration
+  sites — plus one ``<module>`` unit (:data:`MODULE_UNIT`) for the code
+  that runs at import time;
 * the module-level *mutable* bindings (dict/list/set displays and
-  constructor calls) — the state the R010 race detector cares about.
+  constructor calls) — the state the R010 race detector cares about;
+* the ``from random import X`` bindings of the module-level RNG.
+
+This module is the one vocabulary of ambient RNG draws, clock/entropy
+reads, set-ordered iteration, state mutation and file writes: R001,
+R010 and R014–R016 all read these records and parse nothing themselves.
 
 Resolution is deliberately deferred: a summary records ``self.foo`` and
 ``mod.bar`` textually; :mod:`repro.devtools.semantic.graph` resolves
@@ -30,6 +37,7 @@ __all__ = [
     "ANALYSIS_VERSION",
     "FileSummary",
     "FunctionInfo",
+    "MODULE_UNIT",
     "extract_unit_sigs",
     "summarize_file",
 ]
@@ -43,7 +51,16 @@ __all__ = [
 #: origin, wall-clock/entropy/env reads, unordered-iteration and
 #: clock-dependent-control-flow context flags) for the R014–R016
 #: effect-inference pass (:mod:`repro.devtools.semantic.effects`).
-ANALYSIS_VERSION = 3
+#:
+#: v4: the ``<module>`` unit, set-ordered iteration sites,
+#: ``from random import`` bindings, and ``register_policy`` name/factory
+#: on call records — what R001, R010 and the policy audit read.
+ANALYSIS_VERSION = 4
+
+#: Qualname of the per-file unit holding import-time code: top-level
+#: statements, class bodies, and the decorators and default arguments of
+#: top-level functions and methods.
+MODULE_UNIT = "<module>"
 
 #: Methods that mutate their receiver in place (dict/list/set/deque).
 _MUTATING_METHODS = frozenset({
@@ -119,6 +136,18 @@ _UNORDERED_METHODS = frozenset({
 _BOUND_DRAW_LEAVES = frozenset({"random", "randrange", "randint", "rand"})
 
 
+def _ambient_kind(norm: str) -> str | None:
+    """``"clock"`` / ``"entropy"`` / ``"env"`` for a normalized dotted
+    name that reads ambient process state, else None."""
+    if norm in _CLOCK_CALLS:
+        return "clock"
+    if norm in _ENTROPY_CALLS:
+        return "entropy"
+    if norm == "os.getenv" or norm.startswith("os.environ"):
+        return "env"
+    return None
+
+
 def _looks_like_rng(receiver: str) -> bool:
     """Naming convention for RNG receivers the walker cannot type
     locally (``rng`` parameters, ``self._rng`` attributes bound in
@@ -157,7 +186,12 @@ class FunctionInfo:
     #: Events carry ``"unordered": true`` when they fire inside
     #: set-ordered iteration and ``"clock_dep": true`` under wall-clock/
     #: env-dependent control flow; call records get the same flags.
+    #: ``register_policy`` call records also carry ``"policy"`` (the
+    #: name constant, or None) and ``"factory"`` (the dotted reference).
     effects: list[dict[str, Any]] = field(default_factory=list)
+    #: lines of set-ordered (hash-order) iteration: ``for`` loops and
+    #: comprehension generators over sets.
+    unordered_iters: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -167,6 +201,7 @@ class FunctionInfo:
             "mutations": self.mutations,
             "writes": self.writes,
             "effects": self.effects,
+            "unordered_iters": self.unordered_iters,
         }
 
     @classmethod
@@ -178,6 +213,7 @@ class FunctionInfo:
             mutations=list(doc.get("mutations", ())),
             writes=list(doc.get("writes", ())),
             effects=list(doc.get("effects", ())),
+            unordered_iters=list(doc.get("unordered_iters", ())),
         )
 
 
@@ -202,6 +238,9 @@ class FileSummary:
     #: {name: text}, "returns": text}}, "attrs": {Cls: {attr: text}},
     #: "consts": {name: text | "__scalar__"}}``.
     unit_sigs: dict[str, Any] = field(default_factory=dict)
+    #: ``from random import X`` bindings of the module-level RNG, anywhere
+    #: in the file: ``{"name": "choice", "line": int}``.
+    random_imports: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -212,6 +251,7 @@ class FileSummary:
             "functions": {q: f.to_dict() for q, f in self.functions.items()},
             "classes": self.classes,
             "unit_sigs": self.unit_sigs,
+            "random_imports": self.random_imports,
         }
 
     @classmethod
@@ -227,6 +267,7 @@ class FileSummary:
             },
             classes={k: list(v) for k, v in doc.get("classes", {}).items()},
             unit_sigs=dict(doc.get("unit_sigs", {})),
+            random_imports=list(doc.get("random_imports", ())),
         )
 
 
@@ -412,15 +453,7 @@ class _FunctionWalker(ast.NodeVisitor):
         for sub in ast.walk(test):
             if isinstance(sub, ast.Call):
                 name = _dotted(sub.func)
-                if name is None:
-                    continue
-                norm = self._normalize(name)
-                if (
-                    norm in _CLOCK_CALLS
-                    or norm in _ENTROPY_CALLS
-                    or norm == "os.getenv"
-                    or norm.startswith("os.environ")
-                ):
+                if name is not None and _ambient_kind(self._normalize(name)):
                     return True
             elif isinstance(sub, ast.Subscript):
                 dotted = _dotted(sub.value)
@@ -430,15 +463,18 @@ class _FunctionWalker(ast.NodeVisitor):
                     return True
         return False
 
-    def visit_For(self, node: ast.For) -> None:
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         self.visit(node.iter)
         unordered = self._iter_is_unordered(node.iter)
         if unordered:
+            self.info.unordered_iters.append(node.iter.lineno)
             self._unordered += 1
         for stmt in (*node.body, *node.orelse):
             self.visit(stmt)
         if unordered:
             self._unordered -= 1
+
+    visit_AsyncFor = visit_For
 
     def _visit_branch(self, node: ast.If | ast.While) -> None:
         self.visit(node.test)
@@ -457,9 +493,12 @@ class _FunctionWalker(ast.NodeVisitor):
         self,
         node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp,
     ) -> None:
-        unordered = any(
-            self._iter_is_unordered(gen.iter) for gen in node.generators
-        )
+        sites = [
+            gen.iter.lineno for gen in node.generators
+            if self._iter_is_unordered(gen.iter)
+        ]
+        self.info.unordered_iters.extend(sites)
+        unordered = bool(sites)
         for gen in node.generators:
             self.visit(gen.iter)
         if unordered:
@@ -493,26 +532,14 @@ class _FunctionWalker(ast.NodeVisitor):
     def _classify_effect(self, raw: str, line: int) -> None:
         """Record the effect event of one dotted call, if any."""
         norm = self._normalize(raw)
-        if norm in _CLOCK_CALLS:
-            self._note_event({"kind": "clock", "source": norm}, line)
-            return
-        if norm in _ENTROPY_CALLS:
-            self._note_event({"kind": "entropy", "source": norm}, line)
-            return
-        if norm == "os.getenv" or norm.startswith("os.environ"):
-            self._note_event({"kind": "env", "source": norm}, line)
+        kind = _ambient_kind(norm)
+        if kind is not None:
+            self._note_event({"kind": kind, "source": norm}, line)
             return
         head, _, rest = norm.partition(".")
         leaf = norm.split(".")[-1]
-        if head == "random" and rest and leaf not in _AMBIENT_RNG_OK:
-            self._note_event(
-                {"kind": "rng-draw", "stream": "ambient", "source": norm},
-                line,
-            )
-            return
-        if (
-            norm.startswith("numpy.random.")
-            and leaf not in _NP_AMBIENT_RNG_OK
+        if (head == "random" and rest and leaf not in _AMBIENT_RNG_OK) or (
+            norm.startswith("numpy.random.") and leaf not in _NP_AMBIENT_RNG_OK
         ):
             self._note_event(
                 {"kind": "rng-draw", "stream": "ambient", "source": norm},
@@ -581,9 +608,11 @@ class _FunctionWalker(ast.NodeVisitor):
                 record["unordered"] = True
             if self._clock_dep:
                 record["clock_dep"] = True
+            last = name.split(".")[-1]
+            if last == "register_policy":
+                _note_policy(node, record)
             self.info.calls.append(record)
             self._classify_effect(name, node.lineno)
-            last = name.split(".")[-1]
             if last in _MUTATING_METHODS and "." in name:
                 receiver = name.rsplit(".", 1)[0]
                 if not receiver.startswith("self."):
@@ -596,6 +625,33 @@ class _FunctionWalker(ast.NodeVisitor):
             elif last in ("write_text", "write_bytes"):
                 self.info.writes.append({"kind": last, "line": node.lineno})
         self.generic_visit(node)
+
+    def visit_header(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        """Visit what a ``def`` evaluates where it stands: its decorators
+        and default arguments (the body runs only when called)."""
+        args = node.args
+        for expr in (*node.decorator_list, *args.defaults, *args.kw_defaults):
+            if expr is not None:
+                self.visit(expr)
+
+
+def _note_policy(call: ast.Call, record: dict[str, Any]) -> None:
+    """Add the policy name constant and the factory reference of one
+    ``register_policy(name, factory)`` call to its call record."""
+    factory = call.args[1] if len(call.args) >= 2 else None
+    for kw in call.keywords:
+        if kw.arg == "factory":
+            factory = kw.value
+    ref = _dotted(factory) if factory is not None else None
+    if ref is None:
+        return  # lambdas and computed factories: R005's business
+    name = call.args[0] if call.args else None
+    record["policy"] = (
+        name.value
+        if isinstance(name, ast.Constant) and isinstance(name.value, str)
+        else None
+    )
+    record["factory"] = ref
 
 
 def _walk_definition(
@@ -715,6 +771,10 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
             if node.module is None or node.level:
                 continue  # relative imports are not used in this tree
             for alias in node.names:
+                if node.module == "random" and alias.name not in _AMBIENT_RNG_OK:
+                    summary.random_imports.append(
+                        {"name": alias.name, "line": node.lineno}
+                    )
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
@@ -727,7 +787,13 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
                 if alias.name[:1].isupper()
             )
 
+    module_unit = FunctionInfo(qualname=MODULE_UNIT, lineno=1)
+    at_import = _FunctionWalker(module_unit, class_names, summary.imports)
     for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            at_import.visit_header(stmt)
+        elif not isinstance(stmt, ast.ClassDef):
+            at_import.visit(stmt)
         if isinstance(stmt, ast.Assign) and _is_mutable_value(stmt.value):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -745,6 +811,8 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
             )
             summary.functions[info.qualname] = info
         elif isinstance(stmt, ast.ClassDef):
+            for expr in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
+                at_import.visit(expr)
             methods: list[str] = []
             for sub in stmt.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -753,6 +821,14 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
                     summary.functions[qual] = _walk_definition(
                         sub, qual, class_names, summary.imports
                     )
+                    at_import.visit_header(sub)
+                else:
+                    at_import.visit(sub)
             summary.classes[stmt.name] = methods
 
+    if (
+        module_unit.calls or module_unit.mutations or module_unit.writes
+        or module_unit.effects or module_unit.unordered_iters
+    ):
+        summary.functions[MODULE_UNIT] = module_unit
     return summary

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Any
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
+from repro.devtools.semantic.summary import MODULE_UNIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
@@ -1169,7 +1170,7 @@ def units_graph_doc(project: "ProjectContext") -> dict[str, Any]:
             }
             if rendered:
                 cls_doc[cls] = rendered
-        n_fns = len(summary.functions)
+        n_fns = len(summary.functions.keys() - {MODULE_UNIT})
         total_fns += n_fns
         annotated_fns += len(fn_doc)
         modules[module] = {

@@ -2,7 +2,7 @@
 
 A suppression applies to findings on its own line, and — when it sits
 on the header line of a multi-line statement — to that statement's
-continuation lines as well (:func:`expand_statement_suppressions`), so
+continuation lines as well (:func:`expand_to_statements`), so
 
 .. code-block:: python
 
@@ -43,10 +43,8 @@ from repro.devtools.findings import Finding
 __all__ = [
     "ALL_RULES",
     "JUSTIFIED_RULES",
-    "line_suppressions",
-    "line_justifications",
-    "expand_statement_suppressions",
-    "expand_statement_lines",
+    "scan_noqa",
+    "expand_to_statements",
     "filter_suppressed",
 ]
 
@@ -64,9 +62,19 @@ _NOQA_RE = re.compile(
 )
 
 
-def line_suppressions(lines: Iterable[str]) -> dict[int, frozenset[str]]:
-    """Map 1-based line number -> suppressed rule ids (or ``{'*'}``)."""
-    out: dict[int, frozenset[str]] = {}
+def scan_noqa(
+    lines: Iterable[str],
+) -> tuple[dict[int, frozenset[str]], dict[int, str]]:
+    """One pass over the source lines: map 1-based line number ->
+    suppressed rule ids (or ``{'*'}``), and line number -> the ``--
+    reason`` tail of its noqa.
+
+    Only lines whose noqa carries a non-empty justification appear in
+    the second map; :func:`filter_suppressed` consults it before
+    honoring a suppression of a :data:`JUSTIFIED_RULES` member.
+    """
+    suppressions: dict[int, frozenset[str]] = {}
+    justifications: dict[int, str] = {}
     for lineno, text in enumerate(lines, start=1):
         if "#" not in text:
             continue
@@ -74,32 +82,14 @@ def line_suppressions(lines: Iterable[str]) -> dict[int, frozenset[str]]:
         if match is None:
             continue
         rules = match.group("rules")
-        if rules is None:
-            out[lineno] = frozenset((ALL_RULES,))
-        else:
-            ids = frozenset(r.strip().upper() for r in rules.split(",") if r.strip())
-            out[lineno] = ids or frozenset((ALL_RULES,))
-    return out
-
-
-def line_justifications(lines: Iterable[str]) -> dict[int, str]:
-    """Map 1-based line number -> the ``-- reason`` tail of its noqa.
-
-    Only lines that carry a suppression *and* a non-empty justification
-    appear; :func:`filter_suppressed` consults this map before honoring
-    a suppression of a :data:`JUSTIFIED_RULES` member.
-    """
-    out: dict[int, str] = {}
-    for lineno, text in enumerate(lines, start=1):
-        if "#" not in text:
-            continue
-        match = _NOQA_RE.search(text)
-        if match is None:
-            continue
+        ids = frozenset(
+            r.strip().upper() for r in (rules or "").split(",") if r.strip()
+        )
+        suppressions[lineno] = ids or frozenset((ALL_RULES,))
         why = match.group("why")
         if why:
-            out[lineno] = why.strip()
-    return out
+            justifications[lineno] = why.strip()
+    return suppressions, justifications
 
 
 def _statement_extent(stmt: ast.stmt) -> tuple[int, int]:
@@ -118,50 +108,36 @@ def _statement_extent(stmt: ast.stmt) -> tuple[int, int]:
     return start, max(start, end)
 
 
-def expand_statement_suppressions(
-    suppressions: dict[int, frozenset[str]], tree: ast.Module
-) -> dict[int, frozenset[str]]:
-    """Extend header-line suppressions over their statements' extents.
+def expand_to_statements(
+    tree: ast.Module,
+    suppressions: dict[int, frozenset[str]],
+    justifications: dict[int, str],
+) -> tuple[dict[int, frozenset[str]], dict[int, str]]:
+    """Extend header-line suppressions, and their justifications, over
+    their statements' extents, in one walk of ``tree``.
 
-    Returns a new map; lines that already carry their own suppression
+    Returns new maps; lines that already carry their own suppression
     get the union of both (an inner comment can only widen, never
-    narrow, what the header declared).
+    narrow, what the header declared), and keep their own
+    justification.
     """
     if not suppressions:
-        return suppressions
-    out = dict(suppressions)
+        return suppressions, justifications
+    supp, why = dict(suppressions), dict(justifications)
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt):
             continue
         ids = suppressions.get(node.lineno)
         if ids is None:
             continue
+        text = justifications.get(node.lineno)
         start, end = _statement_extent(node)
         for lineno in range(start + 1, end + 1):
-            existing = out.get(lineno)
-            out[lineno] = ids if existing is None else existing | ids
-    return out
-
-
-def expand_statement_lines(
-    values: dict[int, str], tree: ast.Module
-) -> dict[int, str]:
-    """Extend header-line justification texts over their statements'
-    extents, mirroring :func:`expand_statement_suppressions` (a line
-    with its own justification keeps it)."""
-    if not values:
-        return values
-    out = dict(values)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
-            continue
-        text = values.get(node.lineno)
-        if text is None:
-            continue
-        start, end = _statement_extent(node)
-        for lineno in range(start + 1, end + 1):
-            out.setdefault(lineno, text)
-    return out
+            existing = supp.get(lineno)
+            supp[lineno] = ids if existing is None else existing | ids
+            if text is not None:
+                why.setdefault(lineno, text)
+    return supp, why
 
 
 def filter_suppressed(

@@ -23,7 +23,7 @@ from repro.devtools.rules.cache_schema import (
     schema_fingerprint,
     write_pin,
 )
-from repro.devtools.suppressions import filter_suppressed, line_suppressions
+from repro.devtools.suppressions import filter_suppressed, scan_noqa
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +104,7 @@ class TestSuppressions:
         assert rules_of(lint_tree(tmp_path, {"src/repro/a.py": src})) == {"R001"}
 
     def test_parser_units(self):
-        supp = line_suppressions(
+        supp, _ = scan_noqa(
             ["x = 1", "y  # repro: noqa[R001, R004]", "z  # repro: noqa"]
         )
         assert supp[2] == frozenset({"R001", "R004"})
@@ -171,6 +171,110 @@ class TestR001Determinism:
         # scripts time themselves; only sim/core/workloads are banned
         src = "import time\nt0 = time.time()\n"
         assert lint_tree(tmp_path, {"scripts/bench.py": src}, select=["R001"]) == []
+
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("import random\nx = random.random()\n", 2),
+            ("import random\nclass C:\n    x = random.random()\n", 3),
+            ("import random\ndef f(x=random.random()):\n    return x\n", 2),
+            (
+                "import random\n"
+                "class C:\n"
+                "    def m(self, x=random.random()):\n"
+                "        return x\n",
+                3,
+            ),
+            (
+                "import random\n"
+                "def deco(x):\n"
+                "    return lambda fn: fn\n"
+                "@deco(random.random())\n"
+                "def g():\n"
+                "    pass\n",
+                4,
+            ),
+            (
+                "import random\n"
+                "def f():\n"
+                "    def g():\n"
+                "        return random.random()\n"
+                "    return g\n",
+                4,
+            ),
+            ("import random\nf = lambda: random.random()\n", 2),
+            (
+                "import random\n"
+                "def f(n):\n"
+                "    return [random.random() for _ in range(n)]\n",
+                3,
+            ),
+            ("def f():\n    from random import choice\n    return choice\n", 2),
+        ],
+        ids=[
+            "module-level", "class-body", "default-arg", "method-default",
+            "decorator", "nested-def", "lambda", "comprehension",
+            "from-import-in-function",
+        ],
+    )
+    def test_every_position_is_seen_once(self, tmp_path, src, line):
+        findings = lint_tree(tmp_path, {"src/repro/foo.py": src}, select=["R001"])
+        assert [(f.rule, f.line) for f in findings] == [("R001", line)]
+
+    @pytest.mark.parametrize(
+        "relpath, src, line",
+        [
+            (
+                "src/repro/sim/foo.py",
+                "from time import perf_counter\n"
+                "def f():\n"
+                "    return perf_counter()\n",
+                3,
+            ),
+            (
+                "src/repro/sim/foo.py",
+                "import datetime\n"
+                "def f():\n"
+                "    return datetime.datetime.now()\n",
+                3,
+            ),
+            (
+                "src/repro/foo.py",
+                "import numpy.random as npr\nx = npr.rand(3)\n",
+                2,
+            ),
+            (
+                "src/repro/core/foo.py",
+                "def f(xs):\n"
+                "    for x in frozenset(xs):\n"
+                "        print(x)\n",
+                2,
+            ),
+            (
+                "src/repro/core/foo.py",
+                "def f(xs):\n"
+                "    s = set(xs)\n"
+                "    for x in s:\n"
+                "        print(x)\n",
+                3,
+            ),
+        ],
+        ids=[
+            "from-imported-clock", "datetime-now", "aliased-numpy-random",
+            "frozenset-iteration", "set-bound-local",
+        ],
+    )
+    def test_resolved_names_are_flagged(self, tmp_path, relpath, src, line):
+        findings = lint_tree(tmp_path, {relpath: src}, select=["R001"])
+        assert [(f.rule, f.line) for f in findings] == [("R001", line)]
+
+    def test_explicit_numpy_generator_is_clean(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "def f(s):\n"
+            "    return np.random.Generator(np.random.Philox(s))\n"
+        )
+        assert lint_tree(tmp_path, {"src/repro/foo.py": src}, select=["R001"]) == []
 
 
 # --- R002 float equality ------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Tests for repro.devtools.semantic.effects: R014-R016.
+"""Tests for repro.devtools.semantic.effects: R014-R016, and the R001 /
+R010 views of the same summaries.
 
-Covers the v3 summary effect events (stream classification, context
+Covers the summary effect events (stream classification, context
 flags), transitive propagation over the call graph (including
 constructor edges and the telemetry boundary), the three rules on
 known-bad/known-clean fixture trees, the noqa-justification convention,
@@ -8,15 +9,18 @@ the R016 baseline ratchet, serial-vs-``--jobs`` byte identity, the
 AnalysisCache corrupt-entry hardening, the ``effects_graph.json``
 artifact, and the real-tree mutation gates: a ``time.time()`` seed
 injected into ``experiments/common.py`` trips R014 through two call
-hops, a set-iteration draw in ``arrivals.py`` trips R015, and an env
-read reachable from ``_fingerprint`` trips R016 — each pinned to
-file:line.
+hops, a set-iteration draw in ``arrivals.py`` trips R015, an env read
+reachable from ``_fingerprint`` trips R016, a ``perf_counter()`` read
+in ``sim/dram.py`` trips R001, and dropping the two ``noqa[R010]``
+comments from ``core/policy.py`` exposes exactly those two R010
+findings — each pinned to file:line.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import shutil
 from pathlib import Path
 
 from repro.devtools import Finding, lint_paths
@@ -39,6 +43,7 @@ from repro.devtools.semantic.summary import summarize_file
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMON_PATH = REPO_ROOT / "src" / "repro" / "experiments" / "common.py"
 ARRIVALS_PATH = REPO_ROOT / "src" / "repro" / "workloads" / "arrivals.py"
+DRAM_PATH = REPO_ROOT / "src" / "repro" / "sim" / "dram.py"
 
 
 def lint_tree(tmp_path: Path, files: dict[str, str], select=None,
@@ -473,6 +478,7 @@ class TestR016:
 
 class TestSerialVsJobs:
     def test_effects_findings_byte_identical(self, tmp_path):
+        rules = ["R001", "R010", "R014", "R015", "R016"]
         files = {
             **TestR014._FILES,
             **_FPRINT_FILES,
@@ -482,16 +488,27 @@ class TestSerialVsJobs:
                 "    rng = random.Random(seed)\n"
                 "    return [rng.random() for i in set(ids)]\n"
             ),
+            "src/repro/exec/pool.py": (
+                "def run_jobs(worker, specs, n_jobs=None):\n"
+                "    return [worker(s) for s in specs]\n"
+            ),
+            "src/repro/exec/sweep.py": (
+                "from repro.exec.pool import run_jobs\n"
+                "_SEEN = []\n"
+                "def worker(spec):\n"
+                "    _SEEN.append(spec)\n"
+                "    return spec\n"
+                "def sweep(specs):\n"
+                "    return run_jobs(worker, specs)\n"
+            ),
         }
-        serial = lint_tree(
-            tmp_path, files, select=["R014", "R015", "R016"]
-        )
+        serial = lint_tree(tmp_path, files, select=rules)
         pooled = lint_paths(
-            [tmp_path], root=tmp_path, select=["R014", "R015", "R016"],
+            [tmp_path], root=tmp_path, select=rules,
             semantic_cache=False, jobs=2,
         )
         assert serial  # non-vacuous: every rule family fires
-        assert {f.rule for f in serial} == {"R014", "R015", "R016"}
+        assert {f.rule for f in serial} == set(rules)
         assert [f.render() for f in serial] == [f.render() for f in pooled]
 
 
@@ -702,6 +719,56 @@ class TestRealTreeMutations:
             (f.path, f.line) for f in findings
         }
         assert all("env" in f.message for f in findings)
+
+    def test_r001_clock_read_in_dram_trips(self, tmp_path):
+        source = DRAM_PATH.read_text()
+        needle = "        queue = self.queue\n"
+        assert needle in source, "dram.py changed: update the mutation seed"
+        mutated = source.replace(
+            needle, needle + "        _t = time.perf_counter()\n", 1
+        )
+        findings = lint_tree(
+            tmp_path, {"src/repro/sim/dram.py": mutated}, select=["R001"]
+        )
+        lines = mutated.splitlines()
+        expected_line = lines.index("        _t = time.perf_counter()") + 1
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/sim/dram.py", expected_line)
+        ]
+        assert "time.perf_counter" in findings[0].message
+
+    def test_r010_noqa_in_policy_registry_is_load_bearing(self, tmp_path):
+        # Both per-process writes in core/policy.py are deliberate and
+        # suppressed; without the comments, R010 must report exactly
+        # those two lines from the real worker closure.  tests/ is
+        # linted too: the only run_jobs call site handing a pool
+        # run_open_sim_job (whose closure reaches the registry) is in
+        # tests/test_tenancy.py.
+        for tree in ("src", "tests"):
+            shutil.copytree(
+                REPO_ROOT / tree, tmp_path / tree,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        policy = tmp_path / "src" / "repro" / "core" / "policy.py"
+        source = policy.read_text()
+        noqa = "  # repro: noqa[R010]"
+        assert source.count(noqa) == 2, "policy.py changed: update the test"
+        mutated = source.replace(noqa, "")
+        policy.write_text(mutated)
+        findings = lint_paths(
+            [tmp_path / "src", tmp_path / "tests"], root=tmp_path,
+            select=["R010"], semantic_cache=False,
+        )
+        lines = mutated.splitlines()
+        expected = [
+            ("src/repro/core/policy.py",
+             lines.index("    _REGISTRY[name] = factory") + 1),
+            ("src/repro/core/policy.py",
+             lines.index("    _entry_points_loaded = True") + 1),
+        ]
+        assert [(f.path, f.line) for f in findings] == expected
+        assert "register_policy" in findings[0].message
+        assert "_load_entry_points" in findings[1].message
 
 
 # --- effects_graph.json -------------------------------------------------------
