@@ -1,8 +1,10 @@
 """Per-file and per-project context handed to lint rules.
 
 A :class:`FileContext` bundles everything a file-scoped rule needs —
-source text, parsed AST, and the file's *layer identity* (dotted module
-name under ``src/``, or its ``tests``/``scripts``/``benchmarks`` role).
+source text, parsed AST (parsed on first use, so a file whose findings
+are replayed from the lint cache is never parsed), and the file's
+*layer identity* (dotted module name under ``src/``, or its
+``tests``/``scripts``/``benchmarks`` role).
 A :class:`ProjectContext` wraps the whole batch for project-scoped
 rules (e.g. the cache-schema fingerprint check, which correlates
 several files and a pinned artifact).
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from repro.devtools.suppressions import scan_noqa
+from repro.devtools.suppressions import expand_to_statements, scan_noqa
 
 __all__ = ["FileContext", "ProjectContext", "module_name_for"]
 
@@ -41,14 +43,27 @@ def module_name_for(relpath: Path) -> str | None:
     return ".".join(stem) if stem else None
 
 
-@dataclass
 class FileContext:
-    """One parsed source file, as seen by file-scoped rules."""
+    """One source file, as seen by file-scoped rules."""
 
-    path: Path  #: absolute path on disk
-    relpath: Path  #: path relative to the project root
-    source: str
-    tree: ast.Module
+    def __init__(
+        self,
+        path: Path,
+        relpath: Path,
+        source: str,
+        tree: ast.Module | None = None,
+    ) -> None:
+        self.path = path  #: absolute path on disk
+        self.relpath = relpath  #: path relative to the project root
+        self.source = source
+        if tree is not None:
+            self.__dict__["tree"] = tree  # pre-seeds the cached property
+
+    @cached_property
+    def tree(self) -> ast.Module:
+        """The parsed module, parsed on first use (``SyntaxError`` if
+        the source does not parse)."""
+        return ast.parse(self.source, filename=str(self.path))
 
     @cached_property
     def lines(self) -> list[str]:
@@ -59,6 +74,16 @@ class FileContext:
         """The file's ``# repro: noqa`` maps, scanned once per lint run:
         ``(suppressions, justifications)`` keyed by line number."""
         return scan_noqa(self.lines)
+
+    @cached_property
+    def noqa_extents(self) -> tuple[dict[int, frozenset[str]], dict[int, str]]:
+        """:attr:`noqa` expanded over statement extents, the maps
+        findings are filtered through; parses the tree only when the
+        file has a noqa comment."""
+        suppressions, justifications = self.noqa
+        if not suppressions:
+            return suppressions, justifications
+        return expand_to_statements(self.tree, suppressions, justifications)
 
     @cached_property
     def module(self) -> str | None:

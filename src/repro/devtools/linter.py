@@ -9,16 +9,19 @@
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
-from repro.devtools.context import FileContext, ProjectContext
+from repro.devtools.context import FileContext, ProjectContext, module_name_for
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import all_rules
-from repro.devtools.suppressions import expand_to_statements, filter_suppressed
+from repro.devtools.suppressions import filter_suppressed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.devtools.semantic.cache import AnalysisCache
 
 __all__ = [
     "lint_paths",
@@ -69,25 +72,39 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
     return unique
 
 
-def _parse_file(path: Path, root: Path) -> FileContext | Finding:
+def _replay(stored: dict[str, Any] | None, rule_id: str) -> list[Finding] | None:
+    """``rule_id``'s recorded findings, or ``None`` when the record holds
+    no well-formed entry for it (the rule then runs)."""
+    docs = None if stored is None else stored.get(rule_id)
+    if not isinstance(docs, list):
+        return None
     try:
-        relpath = path.resolve().relative_to(root)
-    except ValueError:
-        relpath = Path(path.name)
-    try:
-        source = path.read_text()
-        tree = ast.parse(source, filename=str(path))
-    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-        line = getattr(exc, "lineno", None) or 1
-        return Finding(
-            rule="E999",
-            severity=Severity.ERROR,
-            path=str(relpath),
-            line=line,
-            col=(getattr(exc, "offset", None) or 1) - 1,
-            message=f"cannot parse: {exc.__class__.__name__}: {exc}",
-        )
-    return FileContext(path=path.resolve(), relpath=relpath, source=source, tree=tree)
+        return [Finding.from_dict(doc) for doc in docs]
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _prune(cache: AnalysisCache, root: Path, digests: dict[str, str | None]) -> None:
+    """Keep the records and summaries of paths whose file still holds
+    the recorded content: ``digests`` for this batch (``None`` when
+    unparseable), the disk for every other path, so linting a subset
+    keeps the rest of the tree's cache."""
+    from repro.devtools.semantic.cache import content_digest, summary_key
+
+    def digest_now(relpath: str) -> str | None:
+        if relpath in digests:
+            return digests[relpath]
+        try:
+            return content_digest((root / relpath).read_text())
+        except (OSError, UnicodeDecodeError):
+            return None
+
+    kept = cache.prune_records(digest_now)
+    cache.prune({
+        summary_key(module, digest)
+        for relpath, digest in kept.items()
+        if (module := module_name_for(Path(relpath))) is not None
+    })
 
 
 def changed_files(root: Path, ref: str = "HEAD") -> set[str]:
@@ -137,9 +154,12 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint ``paths`` (files or directories), returning sorted findings.
 
-    ``semantic_cache=False`` disables the per-file analysis cache under
-    ``<root>/.lint-cache/`` (the semantic rules then re-summarize every
-    file).  ``changed``, when given, narrows the *report* to findings
+    With the lint cache under ``<root>/.lint-cache/``, a file whose
+    per-path record matches its content is neither parsed nor checked:
+    its file-rule findings are replayed, and only the project rules run
+    in full (reading cached summaries).  ``semantic_cache=False``
+    disables the cache: every file is parsed, checked and summarized.
+    ``changed``, when given, narrows the *report* to findings
     in those repo-relative paths: file rules skip other files outright,
     and project rules still analyze the whole tree (cross-file findings
     need it) but only findings located in changed files are returned.
@@ -148,55 +168,86 @@ def lint_paths(
     built :class:`ProjectContext` so the CLI can reuse the memoized
     project graph for ``--graph`` without a second build.
     """
+    # Imported here: ``repro.cli`` imports this module for every command,
+    # and the semantic package otherwise loads with the rules.
+    from repro.devtools.semantic.cache import content_digest
+    from repro.devtools.semantic.graph import analysis_cache_for
+
     path_objs = [Path(p) for p in paths]
     if root is None:
         root = find_root(path_objs[0] if path_objs else Path.cwd())
     rules = all_rules(select)
+    file_rules = [rule for rule in rules if rule.scope == "file"]
 
-    contexts: list[FileContext] = []
-    findings: list[Finding] = []
-    for path in iter_python_files(path_objs):
-        parsed = _parse_file(path, root)
-        if isinstance(parsed, Finding):
-            if changed is None or parsed.path in changed:
-                findings.append(parsed)
-        else:
-            contexts.append(parsed)
-
-    # (suppressions, justifications) per file, expanded over statement
-    # extents: R014-R016 suppressions are inert without a ``-- reason``.
-    noqa = {
-        str(ctx.relpath): expand_to_statements(ctx.tree, *ctx.noqa)
-        for ctx in contexts
-    }
-    for ctx in contexts:
-        if changed is not None and str(ctx.relpath) not in changed:
-            continue
-        relpath = str(ctx.relpath)
-        for rule in rules:
-            if rule.scope != "file":
-                continue
-            findings.extend(
-                filter_suppressed(rule.check_file(ctx), *noqa[relpath])
-            )
-
-    project = ProjectContext(root=root, files=contexts)
+    project = ProjectContext(root=root)
     if not semantic_cache:
         project.semantic_cache_path = None  # type: ignore[attr-defined]
     if jobs is not None:
         project.semantic_jobs = jobs  # type: ignore[attr-defined]
     if _project_out is not None:
         _project_out.append(project)
+    cache = analysis_cache_for(project)
+
+    findings: list[Finding] = []
+    digests: dict[str, str | None] = {}
+    for path in iter_python_files(path_objs):
+        path = path.resolve()
+        try:
+            relpath = str(path.relative_to(root))
+        except ValueError:
+            relpath = path.name
+        try:
+            ctx = FileContext(path=path, relpath=Path(relpath), source=path.read_text())
+            digest = content_digest(ctx.source)
+            stored = cache.rules_for(relpath, digest) if cache is not None else None
+            if stored is None:
+                # No record: parse now, so an unparseable file is
+                # reported on every run and never reaches project rules.
+                ctx.tree
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            digests[relpath] = None
+            if changed is None or relpath in changed:
+                findings.append(Finding(
+                    rule="E999",
+                    severity=Severity.ERROR,
+                    path=relpath,
+                    line=getattr(exc, "lineno", None) or 1,
+                    col=(getattr(exc, "offset", None) or 1) - 1,
+                    message=f"cannot parse: {exc.__class__.__name__}: {exc}",
+                ))
+            continue
+        digests[relpath] = digest
+        project.files.append(ctx)
+        checked = file_rules if changed is None or relpath in changed else []
+        fresh: dict[str, list[dict]] = {}
+        for rule in checked:
+            found = _replay(stored, rule.id)
+            if found is None:
+                found = filter_suppressed(rule.check_file(ctx), *ctx.noqa_extents)
+                fresh[rule.id] = [f.to_dict() for f in found]
+            findings.extend(found)
+        if cache is not None and (stored is None or fresh):
+            cache.record(relpath, digest, fresh)
+    # Prune before the project rules run: the graph build then saves
+    # the cache once, with the records and summaries together.
+    if cache is not None:
+        _prune(cache, root, digests)
+
+    contexts = {str(ctx.relpath): ctx for ctx in project.files}
     for rule in rules:
         if rule.scope != "project":
             continue
         for finding in rule.check_project(project):
             if changed is not None and finding.path not in changed:
                 continue
-            findings.extend(
-                filter_suppressed([finding], *noqa.get(finding.path, ({}, {})))
-            )
+            owner = contexts.get(finding.path)
+            if owner is None:
+                findings.append(finding)
+            else:
+                findings.extend(filter_suppressed([finding], *owner.noqa_extents))
 
+    if cache is not None:
+        cache.save()  # a no-op when nothing changed, or the graph saved
     return sorted(findings, key=Finding.sort_key)
 
 

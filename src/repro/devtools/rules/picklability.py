@@ -48,19 +48,23 @@ def _callee_name(func: ast.expr) -> str | None:
     return None
 
 
-def _nested_defs(tree: ast.Module) -> set[str]:
-    """Names of functions defined inside another function's body."""
+def _nested_defs_and_calls(tree: ast.Module) -> tuple[set[str], list[ast.Call]]:
+    """Names of functions defined inside another function's body, and
+    every call in the tree, gathered in one walk."""
     nested: set[str] = set()
+    calls: list[ast.Call] = []
 
     def visit(node: ast.AST, inside_fn: bool) -> None:
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                calls.append(child)
             is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             if is_fn and inside_fn:
                 nested.add(child.name)
             visit(child, inside_fn or is_fn)
 
     visit(tree, False)
-    return nested
+    return nested, calls
 
 
 @register
@@ -72,10 +76,8 @@ class PicklabilityRule(LintRule):
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         # Applies everywhere (tests included): a nested worker in a test
         # passes on fork-Linux CI and breaks users on spawn platforms.
-        nested = _nested_defs(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        nested, calls = _nested_defs_and_calls(ctx.tree)
+        for node in calls:
             name = _callee_name(node.func)
             if name in _POOL_ENTRY_POINTS and node.args:
                 worker = node.args[0]

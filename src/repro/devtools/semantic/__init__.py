@@ -9,7 +9,8 @@ see.  This package adds the cross-function layer:
   set-ordered iteration sites) — the one vocabulary every rule below
   reads;
 * :mod:`repro.devtools.semantic.cache` — a content-hash-keyed store for
-  those summaries so ``repro lint`` re-analyzes only edited files;
+  those summaries and for each file's file-rule findings, so
+  ``repro lint`` parses and re-checks only edited files;
 * :mod:`repro.devtools.semantic.graph` — the project import/call graph
   built from the summaries (JSON-dumpable via ``repro lint --graph``);
 * :mod:`repro.devtools.semantic.effects` — **R001** (direct ambient

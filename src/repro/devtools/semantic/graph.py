@@ -27,10 +27,13 @@ race detector polices.
 from __future__ import annotations
 
 import ast
+import hashlib
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.devtools.semantic.cache import AnalysisCache, content_digest
+from repro.devtools.semantic.cache import AnalysisCache, content_digest, summary_key
 from repro.devtools.semantic.summary import FileSummary, FunctionInfo, summarize_file
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ProjectGraph",
+    "analysis_cache_for",
     "analysis_versions",
     "build_graph",
     "graph_for_project",
@@ -183,14 +187,26 @@ class ProjectGraph:
         }
 
 
-def analysis_versions() -> dict[str, int]:
+def _devtools_digest() -> str:
+    """SHA-256 over every ``.py`` file under ``repro/devtools/`` and the
+    Python minor version (which decides what parses, and how)."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256(f"{sys.version_info[0]}.{sys.version_info[1]}".encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def analysis_versions() -> dict[str, Any]:
     """Per-analysis version fingerprint for the :class:`AnalysisCache`.
 
     Every semantic component whose inputs flow through cached summaries
-    declares an ``ANALYSIS_VERSION``; bumping any of them discards the
-    cache wholesale, so editing a *rule* re-analyzes instead of serving
-    findings computed by its previous self.  (Lazy imports: the rule
-    modules import this one.)
+    declares an ``ANALYSIS_VERSION``; the cached file-rule findings are
+    covered by the ``devtools`` entry, a digest of the devtools sources.
+    Changing any of them discards the cache wholesale, so editing a
+    *rule* re-analyzes instead of serving findings computed by its
+    previous self.  (Lazy imports: the rule modules import this one.)
     """
     from repro.devtools.semantic import (
         clockdomains, effects, lifecycle, races, summary, typedcore, units,
@@ -204,6 +220,7 @@ def analysis_versions() -> dict[str, int]:
         "units": units.ANALYSIS_VERSION,
         "clockdomains": clockdomains.ANALYSIS_VERSION,
         "effects": effects.ANALYSIS_VERSION,
+        "devtools": _devtools_digest(),
     }
 
 
@@ -221,11 +238,10 @@ def _load_cached_summary(doc: object, module: str) -> FileSummary | None:
 
     A cache written by a crashed or concurrent run can hold entries
     that are not dicts, dicts missing required keys, or summaries for a
-    different module (digest collision across moves).  Any such entry
-    degrades to ``None`` — the file is re-summarized and the fresh
-    document overwrites the bad entry on save — instead of crashing the
-    lint run or, worse, silently feeding a partial summary to the
-    whole-program passes.
+    different module.  Any such entry degrades to ``None`` — the file
+    is re-summarized and the fresh document overwrites the bad entry on
+    save — instead of crashing the lint run or, worse, silently feeding
+    a partial summary to the whole-program passes.
     """
     if not isinstance(doc, dict) or doc.get("module") != module:
         return None
@@ -239,8 +255,9 @@ def _summaries_for(
     files: "list[FileContext]",
     cache: AnalysisCache | None,
     jobs: int | None,
-) -> dict[int, FileSummary]:
-    """Index-keyed summaries for the batch, cache-aware.
+) -> tuple[dict[int, FileSummary], int]:
+    """Index-keyed summaries for the batch, cache-aware, and the number
+    of cache misses (an entry that fails to load is a miss).
 
     Cache misses fan out over :func:`repro.exec.run_jobs` when ``jobs``
     asks for parallelism; ``run_jobs`` preserves spec order, so the
@@ -254,36 +271,35 @@ def _summaries_for(
     so a parallel run cannot interleave partial writes.
     """
     summaries: dict[int, FileSummary] = {}
-    misses: list[tuple[int, "FileContext"]] = []
+    misses: list[tuple[int, "FileContext", str]] = []
     for i, ctx in enumerate(files):
         if ctx.module is None:
             continue
+        key = summary_key(ctx.module, content_digest(ctx.source))
         if cache is not None:
-            cached = _load_cached_summary(
-                cache.get(content_digest(ctx.source)), ctx.module
-            )
+            cached = _load_cached_summary(cache.get(key), ctx.module)
             if cached is not None:
                 summaries[i] = cached
                 continue
-        misses.append((i, ctx))
+        misses.append((i, ctx, key))
     if jobs is not None and jobs != 1 and len(misses) > 1:
         from repro.exec import run_jobs
 
         specs = [
-            (ctx.module, str(ctx.relpath), ctx.source) for _, ctx in misses
+            (ctx.module, str(ctx.relpath), ctx.source) for _, ctx, _ in misses
         ]
         docs = run_jobs(_summarize_source_job, specs, n_jobs=jobs)
-        for (i, ctx), doc in zip(misses, docs):
+        for (i, _ctx, key), doc in zip(misses, docs):
             if cache is not None:
-                cache.put(content_digest(ctx.source), doc)
+                cache.put(key, doc)
             summaries[i] = FileSummary.from_dict(doc)
     else:
-        for i, ctx in misses:
+        for i, ctx, key in misses:
             summary = summarize_file(ctx.module, str(ctx.relpath), ctx.tree)
             if cache is not None:
-                cache.put(content_digest(ctx.source), summary.to_dict())
+                cache.put(key, summary.to_dict())
             summaries[i] = summary
-    return summaries
+    return summaries, len(misses)
 
 
 def build_graph(
@@ -300,17 +316,15 @@ def build_graph(
     the graph stay byte-identical to a serial build.
     """
     graph = ProjectGraph()
-    for _i, summary in sorted(_summaries_for(files, cache, jobs).items()):
+    summaries, misses = _summaries_for(files, cache, jobs)
+    for _i, summary in sorted(summaries.items()):
         graph.modules[summary.module] = summary
         for qual, info in summary.functions.items():
             key = f"{summary.module}.{qual}"
             graph.functions[key] = info
             graph.paths[key] = summary.path
     if cache is not None:
-        graph.cache_hits, graph.cache_misses = cache.hits, cache.misses
-        cache.prune({
-            content_digest(ctx.source) for ctx in files if ctx.module
-        })
+        graph.cache_hits, graph.cache_misses = len(summaries) - misses, misses
         cache.save()
 
     # Resolve call edges and worker registrations.
@@ -347,28 +361,38 @@ def build_graph(
     return graph
 
 
+def analysis_cache_for(project: Any) -> AnalysisCache | None:
+    """The one :class:`AnalysisCache` of a lint invocation, loaded on
+    first use and stashed on the :class:`~repro.devtools.context
+    .ProjectContext`, so the linter's per-path records and the graph's
+    summaries share one load and one save.  ``semantic_cache_path``,
+    when set before first use, overrides ``<root>/.lint-cache/``
+    (``None`` disables the cache, for ``--no-semantic-cache``).
+    """
+    if not hasattr(project, "_analysis_cache"):
+        cache_path = getattr(
+            project, "semantic_cache_path", project.root / CACHE_RELPATH
+        )
+        project._analysis_cache = (
+            AnalysisCache(cache_path, versions=analysis_versions())
+            if cache_path is not None
+            else None
+        )
+    return project._analysis_cache
+
+
 def graph_for_project(project: Any) -> ProjectGraph:
     """The (memoized) :class:`ProjectGraph` of one lint invocation.
 
     Both project-scoped semantic rules and the ``--graph`` dump need the
     graph; building it twice would double the parse work, so the first
     caller stashes it on the :class:`~repro.devtools.context
-    .ProjectContext`.  The linter may pre-set ``semantic_cache_path``
-    (``None`` disables persistence, for ``--no-semantic-cache``).
+    .ProjectContext`.
     """
     cached = getattr(project, "_semantic_graph", None)
     if cached is not None:
         return cached
-    if hasattr(project, "semantic_cache_path"):
-        cache_path = project.semantic_cache_path
-    else:
-        cache_path = project.root / CACHE_RELPATH
-    cache = (
-        AnalysisCache(cache_path, versions=analysis_versions())
-        if cache_path is not None
-        else None
-    )
     jobs = getattr(project, "semantic_jobs", None)
-    graph = build_graph(project.files, cache, jobs=jobs)
+    graph = build_graph(project.files, analysis_cache_for(project), jobs=jobs)
     project._semantic_graph = graph
     return graph
