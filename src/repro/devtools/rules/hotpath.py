@@ -53,7 +53,7 @@ _HOT_MODULES = (
 _HOT_CLASSES = frozenset({
     "MemTxn", "EventQueue", "Simulator",
     "Warp", "IssueServer", "Core",
-    "CacheStats", "SetAssocCache", "MSHRTable",
+    "SetAssocCache", "MSHRTable",
     "DRAMRequest", "DRAMChannel", "_Bank",
     "Link", "Crossbar",
     "AppStats",

@@ -133,7 +133,9 @@ _UNORDERED_METHODS = frozenset({
 #: Bound-draw naming convention: a call like ``self._random()`` whose
 #: leaf strips to one of these is treated as a draw on an explicit
 #: stream bound elsewhere (``self._random = rng.random``).
-_BOUND_DRAW_LEAVES = frozenset({"random", "randrange", "randint", "rand"})
+_BOUND_DRAW_LEAVES = frozenset({
+    "random", "randrange", "randint", "rand", "getrandbits",
+})
 
 
 def _ambient_kind(norm: str) -> str | None:

@@ -7,7 +7,7 @@ The paper's TLP-management mechanisms (``repro.core``) sit on top of it.
 """
 
 from repro.sim.address import AddressMap
-from repro.sim.cache import CacheStats, MSHRTable, SetAssocCache
+from repro.sim.cache import MSHRTable, SetAssocCache
 from repro.sim.dram import DRAMChannel
 from repro.sim.engine import (
     EventQueue,
@@ -27,7 +27,6 @@ from repro.sim.tenancy import Tenancy, TenancyEvent, split_cores
 __all__ = [
     "AddressMap",
     "SetAssocCache",
-    "CacheStats",
     "MSHRTable",
     "DRAMChannel",
     "EventQueue",

@@ -1,56 +1,22 @@
-"""Set-associative caches with LRU replacement, per-application statistics,
-MSHR-style miss merging, and fill bypassing.
+"""Set-associative caches with LRU replacement, MSHR-style miss
+merging, and fill bypassing.
 
 Both the per-core L1 data caches and the per-partition L2 slices are
 instances of :class:`SetAssocCache`.  The cache itself is a pure state
 machine (no notion of time); the simulator engine supplies timing.
+Per-application hit and miss counts live in the engine's
+:class:`~repro.sim.stats.AppStats`, the only place anything reads them.
 
 Bypassing (used by the Mod+Bypass baseline, §VI) is a per-application
-flag: a bypassed application's misses are still counted, but fills are
-not installed, so it stops displacing the co-runner's lines.
+flag: a bypassed application's accesses still look up the cache, but
+fills are not installed, so it stops displacing the co-runner's lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.units import Bytes, BytesPerLine, Count
 
-from repro.units import Bytes, BytesPerLine, Count, Fraction
-
-__all__ = ["CacheStats", "SetAssocCache", "MSHRTable"]
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Access/miss counters, totals and per-application."""
-
-    accesses: Count = 0
-    misses: Count = 0
-    accesses_by_app: dict[int, int] = field(default_factory=dict)
-    misses_by_app: dict[int, int] = field(default_factory=dict)
-
-    def record(self, app_id: int, hit: bool) -> None:
-        self.accesses += 1
-        self.accesses_by_app[app_id] = self.accesses_by_app.get(app_id, 0) + 1
-        if not hit:
-            self.misses += 1
-            self.misses_by_app[app_id] = self.misses_by_app.get(app_id, 0) + 1
-
-    def miss_rate(self, app_id: int | None = None) -> Fraction:
-        """Miss rate overall, or for one application.
-
-        Returns 1.0 when there were no accesses: a cache that was never
-        used amplifies nothing, which is the convention the effective-
-        bandwidth metric needs (EB = BW / CMR with CMR = 1).
-        """
-        if app_id is None:
-            acc, mis = self.accesses, self.misses
-        else:
-            acc = self.accesses_by_app.get(app_id, 0)
-            mis = self.misses_by_app.get(app_id, 0)
-        return (mis / acc) if acc else 1.0
-
-    def snapshot(self) -> tuple[int, int]:
-        return self.accesses, self.misses
+__all__ = ["SetAssocCache", "MSHRTable"]
 
 
 class SetAssocCache:
@@ -62,8 +28,7 @@ class SetAssocCache:
     """
 
     __slots__ = (
-        "n_sets", "assoc", "line_bytes", "stats", "_sets", "bypass_apps",
-        "way_quota",
+        "n_sets", "assoc", "line_bytes", "_sets", "bypass_apps", "way_quota",
     )
 
     def __init__(self, n_sets: int, assoc: int, line_bytes: BytesPerLine) -> None:
@@ -72,7 +37,6 @@ class SetAssocCache:
         self.n_sets = n_sets
         self.assoc = assoc
         self.line_bytes: BytesPerLine = line_bytes
-        self.stats = CacheStats()
         self._sets: list[dict[int, int]] = [{} for _ in range(n_sets)]
         #: applications whose fills are currently bypassed
         self.bypass_apps: set[int] = set()
@@ -85,32 +49,23 @@ class SetAssocCache:
         return (line_addr // self.line_bytes) % self.n_sets
 
     def probe(self, line_addr: Bytes) -> bool:
-        """Check residency without touching LRU state or statistics."""
+        """Check residency without touching LRU state."""
         return line_addr in self._sets[self.set_index(line_addr)]
 
     def access(self, line_addr: Bytes, app_id: int) -> bool:
         """Look up ``line_addr``; returns True on hit.
 
-        A hit updates LRU recency.  A miss records statistics only; the
-        caller is responsible for issuing the fill once the lower level
-        responds (see :meth:`fill`).
+        A hit updates LRU recency.  A miss changes nothing; the caller
+        is responsible for issuing the fill once the lower level
+        responds (see :meth:`fill`).  ``app_id`` names the requester,
+        as :meth:`fill`'s does; the lookup itself does not depend on it.
         """
         line_set = self._sets[(line_addr // self.line_bytes) % self.n_sets]
-        hit = line_addr in line_set
-        if hit:
+        if line_addr in line_set:
             # Re-insert to mark most-recently-used.
             line_set[line_addr] = line_set.pop(line_addr)
-        # Statistics recording is inlined (this runs once per simulated
-        # cache access; see docs/performance.md).
-        stats = self.stats
-        stats.accesses += 1
-        by_app = stats.accesses_by_app
-        by_app[app_id] = by_app.get(app_id, 0) + 1
-        if not hit:
-            stats.misses += 1
-            by_app = stats.misses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
-        return hit
+            return True
+        return False
 
     def fill(self, line_addr: Bytes, app_id: int) -> int | None:
         """Install a line, evicting the LRU line of the set if needed.

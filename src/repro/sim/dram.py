@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import GPUConfig
 from repro.sim.address import AddressMap
-from repro.units import Count, Cycles, Fraction, Lines
+from repro.units import Cycles, Fraction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EventQueue
@@ -94,9 +94,8 @@ class DRAMChannel:
         "channel_id", "timings", "addr_map", "frfcfs_cap", "capacity",
         "_events", "_schedule_event", "on_dequeue", "_banks",
         "_group_col_free", "queue", "bus_free", "last_activate",
-        "_deciding", "_hit_streak", "row_hits", "row_misses",
-        "lines_transferred", "busy_cycles", "_decide_event",
-        "_bank_group_of", "_t_ccd", "_t_cl", "_t_rp", "_t_rcd", "_t_ras",
+        "_deciding", "_hit_streak", "busy_cycles", "_decide_event",
+        "_bank_group", "_t_ccd", "_t_cl", "_t_rp", "_t_rcd", "_t_ras",
         "_t_rrd", "_burst", "_lookahead",
     )
 
@@ -135,7 +134,10 @@ class DRAMChannel:
         #: pre-bound hot references (one bound method per channel, not
         #: one per scheduling decision)
         self._decide_event = self._decide
-        self._bank_group_of = addr_map.bank_group_of
+        #: bank id -> bank group, resolved once (AddressMap.bank_group_of)
+        self._bank_group = tuple(
+            addr_map.bank_group_of(b) for b in range(config.banks_per_channel)
+        )
         self._banks = [_Bank() for _ in range(config.banks_per_channel)]
         self._group_col_free = [0.0] * config.bank_groups_per_channel
         self.queue: list[DRAMRequest] = []
@@ -143,10 +145,7 @@ class DRAMChannel:
         self.last_activate: Cycles = -1e18
         self._deciding = False
         self._hit_streak = 0
-        # statistics
-        self.row_hits: Count = 0
-        self.row_misses: Count = 0
-        self.lines_transferred: Lines = 0
+        #: data-bus cycles carried so far (read for dram_utilization)
         self.busy_cycles: Cycles = 0.0
 
     # --- public API ------------------------------------------------------
@@ -225,7 +224,7 @@ class DRAMChannel:
         if self.on_dequeue is not None:
             self.on_dequeue(now)
         bank = self._banks[req.bank]
-        group = self._bank_group_of(req.bank)
+        group = self._bank_group[req.bank]
         group_col_free = self._group_col_free
         row = req.row
 
@@ -233,7 +232,6 @@ class DRAMChannel:
         req.row_hit = row_hit
         if row_hit:
             self._hit_streak += 1
-            self.row_hits += 1
             col_issue = now
             if bank.free_at > col_issue:
                 col_issue = bank.free_at
@@ -242,7 +240,6 @@ class DRAMChannel:
                 col_issue = gcf
         else:
             self._hit_streak = 0
-            self.row_misses += 1
             act_start = now
             if bank.free_at > act_start:
                 act_start = bank.free_at
@@ -271,7 +268,6 @@ class DRAMChannel:
         data_end = data_start + self._burst
         self.bus_free = data_end
         bank.free_at = col_issue + t_ccd
-        self.lines_transferred += 1
         self.busy_cycles += self._burst
 
         # The request object is its own data-return event (see

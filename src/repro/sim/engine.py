@@ -687,8 +687,8 @@ class Simulator:
                     n_hits = 0
                     n_misses = 0
                     for line in lines:
-                        # Inlined SetAssocCache.access: LRU lookup with
-                        # the statistics batched after the loop.
+                        # Inlined SetAssocCache.access: LRU lookup, with
+                        # the AppStats counts batched after the loop.
                         line_set = l1_sets[(line // lb) % ns]
                         if line in line_set:
                             line_set[line] = line_set.pop(line)
@@ -721,13 +721,8 @@ class Simulator:
                         channel = (line // self._interleave) % self._n_channels
                         port = self._req_ports[channel]
                         fa = port.free_at
-                        start = now if now > fa else fa
-                        cpp = port.cycles_per_packet
-                        fa = start + cpp
+                        fa = (now if now > fa else fa) + port.cycles_per_packet
                         port.free_at = fa
-                        port.packets += 1
-                        port.busy_cycles += cpp
-                        port.queue_cycles += start - now
                         pool = self._txn_pool
                         if pool:
                             t2 = pool.pop()
@@ -754,15 +749,8 @@ class Simulator:
                             heappush(ev._wheel[slot & ev._mask], (t, seq, t2))
                         else:
                             ev.push(t, t2)
-                    cache_stats = l1.stats
-                    cache_stats.accesses += n
-                    by_app = cache_stats.accesses_by_app
-                    by_app[app_id] = by_app.get(app_id, 0) + n
                     stats.l1_accesses += n
                     if n_misses:
-                        cache_stats.misses += n_misses
-                        by_app = cache_stats.misses_by_app
-                        by_app[app_id] = by_app.get(app_id, 0) + n_misses
                         stats.l1_misses += n_misses
                     if n_hits:
                         if n_misses:
@@ -904,27 +892,17 @@ class Simulator:
             app_id = txn.app_id
             line = txn.line
             l2 = self.l2s[channel]
-            # Inlined SetAssocCache.access (lookup + statistics).
+            # Inlined SetAssocCache.access.
             line_set = l2._sets[(line // l2.line_bytes) % l2.n_sets]
-            hit = line in line_set
-            cache_stats = l2.stats
-            cache_stats.accesses += 1
-            by_app = cache_stats.accesses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
             stats = self._stats[app_id]
             stats.l2_accesses += 1
-            if hit:
+            if line in line_set:
                 line_set[line] = line_set.pop(line)
                 port = self._resp_ports[channel]
                 t = now + self._l2_hit_latency
                 fa = port.free_at
-                start = t if t > fa else fa
-                cpp = port.cycles_per_packet
-                fa = start + cpp
+                fa = (t if t > fa else fa) + port.cycles_per_packet
                 port.free_at = fa
-                port.packets += 1
-                port.busy_cycles += cpp
-                port.queue_cycles += start - t
                 t = fa + port.latency
                 core = txn.core
                 ft = core.fill_txn
@@ -956,9 +934,6 @@ class Simulator:
                 else:
                     ev.push(t, txn)
                 return
-            cache_stats.misses += 1
-            by_app = cache_stats.misses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
             stats.l2_misses += 1
             # Inlined _l2_miss + _to_dram fast paths (the methods remain
             # the readable form, used by the parked-retry stages).
@@ -1139,13 +1114,8 @@ class Simulator:
         channel = (line // self._interleave) % self._n_channels
         port = self._req_ports[channel]
         fa = port.free_at
-        start = now if now > fa else fa
-        cpp = port.cycles_per_packet
-        fa = start + cpp
+        fa = (now if now > fa else fa) + port.cycles_per_packet
         port.free_at = fa
-        port.packets += 1
-        port.busy_cycles += cpp
-        port.queue_cycles += start - now
         if txn is None:
             txn = MemTxn(_L2_ACCESS, core, warp, line, warp.app_id, channel)
         else:
@@ -1257,13 +1227,8 @@ class Simulator:
         mshr = self.l2_mshrs[channel]
         for core in mshr._pending.pop(line, _EMPTY):
             fa = port.free_at
-            start = now if now > fa else fa
-            cpp = port.cycles_per_packet
-            fa = start + cpp
+            fa = (now if now > fa else fa) + port.cycles_per_packet
             port.free_at = fa
-            port.packets += 1
-            port.busy_cycles += cpp
-            port.queue_cycles += start - now
             t = fa + port.latency
             ft = core.fill_txn
             if ft is not None and core.fill_time == t:

@@ -17,7 +17,7 @@ the core side.
 from __future__ import annotations
 
 from repro.config import GPUConfig
-from repro.units import BytesPerCycle, Count, Cycles, Fraction
+from repro.units import BytesPerCycle, Cycles
 
 __all__ = ["Link", "Crossbar"]
 
@@ -25,8 +25,7 @@ __all__ = ["Link", "Crossbar"]
 class Link:
     """A rate-limited, fixed-latency FIFO link."""
 
-    __slots__ = ("latency", "cycles_per_packet", "free_at", "packets",
-                 "busy_cycles", "queue_cycles")
+    __slots__ = ("latency", "cycles_per_packet", "free_at")
 
     def __init__(self, latency: Cycles, cycles_per_packet: Cycles) -> None:
         if cycles_per_packet <= 0:
@@ -34,21 +33,12 @@ class Link:
         self.latency: Cycles = latency
         self.cycles_per_packet: Cycles = cycles_per_packet
         self.free_at: Cycles = 0.0
-        self.packets: Count = 0
-        self.busy_cycles: Cycles = 0.0
-        self.queue_cycles: Cycles = 0.0
 
     def send(self, now: Cycles) -> Cycles:
         """Inject a packet at ``now``; returns its delivery time."""
         start = now if now > self.free_at else self.free_at
         self.free_at = start + self.cycles_per_packet
-        self.packets += 1
-        self.busy_cycles += self.cycles_per_packet
-        self.queue_cycles += start - now
         return start + self.cycles_per_packet + self.latency
-
-    def utilization(self, elapsed: Cycles) -> Fraction:
-        return self.busy_cycles / elapsed if elapsed > 0 else 0.0
 
 
 class Crossbar:

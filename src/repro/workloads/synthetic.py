@@ -161,13 +161,21 @@ class WarpAddressStream:
     at construction: ``next_request`` runs once per warp-loop iteration,
     on the engine's hot path.  The sequence of RNG draws is part of the
     deterministic stream definition and must not change.
+
+    A bounded draw in ``[0, n)`` is CPython's ``randrange(n)`` body
+    (``Random._randbelow_with_getrandbits``) written out in place: draw
+    ``k = n.bit_length()`` bits and redraw while the value is ``>= n``.
+    It consumes the same Mersenne-Twister words as ``randrange(n)``, so
+    streams are bit-identical to it, without its two Python frames per
+    draw.  ``tests/test_synthetic.py`` pins the equivalence.
     """
 
     __slots__ = (
         "profile", "line_bytes", "shared_base", "core_stream", "rng",
-        "_ring", "_ring_pos", "_random", "_randrange", "_inst_gap",
+        "_ring", "_ring_pos", "_random", "_getrandbits", "_inst_gap",
         "_gap_jitter", "_gap_lo", "_p_reuse", "_p_seq", "_shared_frac",
         "_shared_lines", "_stream_lines", "_divergent", "_coalesce",
+        "_ring_bits", "_shared_bits", "_stream_bits",
     )
 
     def __init__(
@@ -184,7 +192,7 @@ class WarpAddressStream:
         self.core_stream = core_stream
         self.rng = rng
         self._random = rng.random
-        self._randrange = rng.randrange
+        self._getrandbits = rng.getrandbits
         self._inst_gap = profile.inst_gap
         self._gap_jitter = profile.gap_jitter
         self._gap_lo = 1.0 - profile.gap_jitter / 2.0
@@ -195,14 +203,23 @@ class WarpAddressStream:
         self._stream_lines = profile.stream_lines
         self._divergent = profile.divergent
         self._coalesce = profile.coalesce
+        # Bit widths of the three bounded draws (see the class docstring).
+        self._ring_bits = profile.footprint_lines.bit_length()
+        self._shared_bits = profile.shared_lines.bit_length()
+        self._stream_bits = n_bits = profile.stream_lines.bit_length()
         # Pre-populate the reuse ring so temporal locality is stationary
         # from the first access: an empty ring would make early windows
         # look far more cache-friendly than steady state (the ring takes
         # footprint_lines iterations per warp to fill otherwise).
-        self._ring: list[int] = [
-            core_stream.base + rng.randrange(profile.stream_lines) * line_bytes
-            for _ in range(profile.footprint_lines)
-        ]
+        n = profile.stream_lines
+        base = core_stream.base
+        ring: list[int] = []
+        for _ in range(profile.footprint_lines):
+            r = rng.getrandbits(n_bits)
+            while r >= n:
+                r = rng.getrandbits(n_bits)
+            ring.append(base + r * line_bytes)
+        self._ring = ring
         self._ring_pos = 0
 
     # --- internals -----------------------------------------------------
@@ -215,8 +232,12 @@ class WarpAddressStream:
         """
         r = self._random()
         ring = self._ring
-        if r < self._p_reuse and ring:
-            return ring[self._randrange(len(ring))]
+        if r < self._p_reuse:
+            n = len(ring)
+            i = self._getrandbits(self._ring_bits)
+            while i >= n:
+                i = self._getrandbits(self._ring_bits)
+            return ring[i]
         r -= self._p_reuse
         cs = self.core_stream
         if r < self._p_seq:
@@ -224,14 +245,19 @@ class WarpAddressStream:
         else:
             r -= self._p_seq
             if r < self._shared_frac:
-                return (
-                    self.shared_base
-                    + self._randrange(self._shared_lines) * self.line_bytes
-                )
+                n = self._shared_lines
+                i = self._getrandbits(self._shared_bits)
+                while i >= n:
+                    i = self._getrandbits(self._shared_bits)
+                return self.shared_base + i * self.line_bytes
             # Random jump within the core's streaming region; sequential
             # accesses continue from the jump target (row locality
             # resumes).
-            cs._offset = self._randrange(self._stream_lines) % cs.n_lines
+            n = self._stream_lines
+            i = self._getrandbits(self._stream_bits)
+            while i >= n:
+                i = self._getrandbits(self._stream_bits)
+            cs._offset = i % cs.n_lines
         # Inlined CoreStream.next_line: advance the shared cursor.
         offset = cs._offset
         line = cs.base + offset * cs.line_bytes
@@ -248,7 +274,9 @@ class WarpAddressStream:
         gap = self._inst_gap
         jitter = self._gap_jitter
         if jitter:
-            gap = max(1, int(gap * (self._gap_lo + jitter * self._random())))
+            gap = int(gap * (self._gap_lo + jitter * self._random()))
+            if gap < 1:
+                gap = 1
         if self._divergent:
             lines: list[int] = []
             for _ in range(self._coalesce):

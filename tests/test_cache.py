@@ -1,10 +1,10 @@
-"""Tests for repro.sim.cache: LRU sets, stats, bypass, quotas, MSHRs."""
+"""Tests for repro.sim.cache: LRU sets, bypass, quotas, MSHRs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import CacheStats, MSHRTable, SetAssocCache
+from repro.sim.cache import MSHRTable, SetAssocCache
 
 LINE = 128
 
@@ -65,23 +65,6 @@ class TestBasicCaching:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             SetAssocCache(n_sets=0, assoc=2, line_bytes=LINE)
-
-
-class TestStats:
-    def test_per_app_miss_rates(self):
-        cache = make_cache()
-        a0, a1 = addr(0, 0), addr(1, 0)
-        cache.access(a0, app_id=0)  # miss
-        cache.fill(a0, 0)
-        cache.access(a0, app_id=0)  # hit
-        cache.access(a1, app_id=1)  # miss
-        assert cache.stats.miss_rate(0) == pytest.approx(0.5)
-        assert cache.stats.miss_rate(1) == pytest.approx(1.0)
-        assert cache.stats.miss_rate() == pytest.approx(2 / 3)
-
-    def test_unused_cache_reports_unity_miss_rate(self):
-        assert CacheStats().miss_rate() == 1.0
-        assert CacheStats().miss_rate(3) == 1.0
 
 
 class TestBypass:
@@ -171,18 +154,6 @@ class TestCacheProperties:
             if not cache.access(a, 0):
                 cache.fill(a, 0)
             assert cache.access(a, 0) is True
-
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
-    @settings(max_examples=50)
-    def test_stats_accesses_equals_hits_plus_misses(self, tags):
-        cache = make_cache()
-        for tag in tags:
-            a = addr(tag % 4, tag)
-            if not cache.access(a, 0):
-                cache.fill(a, 0)
-        stats = cache.stats
-        assert stats.accesses == len(tags)
-        assert 0 <= stats.misses <= stats.accesses
 
 
 class TestMSHR:

@@ -137,10 +137,17 @@ class TestStatsAndUtilization:
         for i in range(10):
             h.channel.enqueue(h.request(bank=i % 2, row=i % 3, tag=i), now=0.0)
         h.run()
-        ch = h.channel
-        assert ch.lines_transferred == 10
-        assert ch.row_hits + ch.row_misses == 10
-        assert len(h.done) == 10
+        # every request completes exactly once, flagged hit or miss
+        assert sorted(tag for tag, _, _ in h.done) == list(range(10))
+        flags = [row_hit for _, _, row_hit in h.done]
+        assert all(isinstance(flag, bool) for flag in flags)
+        # both banks start with no open row, so each one's first access
+        # misses
+        assert flags.count(False) >= 2
+        # one burst on the data bus per completed request
+        assert h.channel.busy_cycles == pytest.approx(
+            len(h.done) * h.config.dram.burst_cycles
+        )
 
     def test_utilization_bounded(self):
         h = Harness()

@@ -13,7 +13,8 @@ hops, a set-iteration draw in ``arrivals.py`` trips R015, an env read
 reachable from ``_fingerprint`` trips R016, a ``perf_counter()`` read
 in ``sim/dram.py`` trips R001, and dropping the two ``noqa[R010]``
 comments from ``core/policy.py`` exposes exactly those two R010
-findings — each pinned to file:line.
+findings — each pinned to file:line.  The warp stream's inlined
+``getrandbits`` draws must stay visible as seeded draws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import ast
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.devtools import Finding, lint_paths
 from repro.devtools.context import FileContext, ProjectContext
@@ -44,6 +47,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMON_PATH = REPO_ROOT / "src" / "repro" / "experiments" / "common.py"
 ARRIVALS_PATH = REPO_ROOT / "src" / "repro" / "workloads" / "arrivals.py"
 DRAM_PATH = REPO_ROOT / "src" / "repro" / "sim" / "dram.py"
+SYNTHETIC_PATH = REPO_ROOT / "src" / "repro" / "workloads" / "synthetic.py"
 
 
 def lint_tree(tmp_path: Path, files: dict[str, str], select=None,
@@ -185,6 +189,15 @@ class TestEffectEvents:
             "class C:\n"
             "    def step(self):\n"
             "        return self._random()\n"
+        )
+        (event,) = summarize(src).functions["C.step"].effects
+        assert event["kind"] == "rng-draw" and event["stream"] == "attr"
+
+    def test_bound_getrandbits_is_a_draw(self):
+        src = (
+            "class C:\n"
+            "    def step(self, k):\n"
+            "        return self._getrandbits(k)\n"
         )
         (event,) = summarize(src).functions["C.step"].effects
         assert event["kind"] == "rng-draw" and event["stream"] == "attr"
@@ -875,6 +888,25 @@ class TestCli:
 # --- repo-level gate ----------------------------------------------------------
 
 
+@pytest.fixture(scope="class")
+def real_tree_doc():
+    """``effects_graph.json`` for the real ``src/`` tree, built once."""
+    files = []
+    for p in sorted((REPO_ROOT / "src").rglob("*.py")):
+        source = p.read_text()
+        files.append(
+            FileContext(
+                path=p.resolve(),
+                relpath=p.relative_to(REPO_ROOT),
+                source=source,
+                tree=ast.parse(source),
+            )
+        )
+    project = ProjectContext(root=REPO_ROOT, files=files)
+    project.semantic_cache_path = None
+    return effects_graph_doc(project)
+
+
 class TestRealTreeEffects:
     def test_real_tree_clean_under_effects_rules(self):
         findings = lint_paths(
@@ -885,21 +917,8 @@ class TestRealTreeEffects:
         )
         assert findings == [], [f.render() for f in findings]
 
-    def test_real_tree_effects_graph_validates(self, tmp_path):
-        files = []
-        for p in sorted((REPO_ROOT / "src").rglob("*.py")):
-            source = p.read_text()
-            files.append(
-                FileContext(
-                    path=p.resolve(),
-                    relpath=p.relative_to(REPO_ROOT),
-                    source=source,
-                    tree=ast.parse(source),
-                )
-            )
-        project = ProjectContext(root=REPO_ROOT, files=files)
-        project.semantic_cache_path = None
-        doc = effects_graph_doc(project)
+    def test_real_tree_effects_graph_validates(self, real_tree_doc):
+        doc = real_tree_doc
         assert validate_effects_graph(doc) == []
         # the analysis is not vacuous on the real tree
         assert doc["n_functions"] > 500
@@ -917,3 +936,38 @@ class TestRealTreeEffects:
         assert doc["policies"] and all(
             p["taint"] == [] for p in doc["policies"]
         )
+
+    def test_warp_stream_draws_are_seeded_draws(self, real_tree_doc):
+        # The warp stream draws its bounded indices with getrandbits,
+        # inlined (no randrange frame): every such call must still be a
+        # draw event, so the stream's functions keep ``seeded-rng`` and
+        # R014/R015 see its draws.
+        source = SYNTHETIC_PATH.read_text()
+        tree = ast.parse(source)
+        draw_calls = {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr.lstrip("_") == "getrandbits"
+        }
+        assert len(draw_calls) >= 8, "expected the inlined bounded draws"
+        summary = summarize_file(
+            "repro.workloads.synthetic", "src/repro/workloads/synthetic.py",
+            tree,
+        )
+        recorded = {
+            event["line"]
+            for info in summary.functions.values()
+            for event in info.effects
+            if event["kind"] == "rng-draw" and event["stream"] != "ambient"
+        }
+        assert draw_calls <= recorded, sorted(draw_calls - recorded)
+        functions = real_tree_doc["functions"]
+        for method in ("__init__", "_one_line", "next_request"):
+            key = f"repro.workloads.synthetic.WarpAddressStream.{method}"
+            effects = functions.get(key, {}).get("effects", {})
+            assert "seeded-rng" in effects, key
+        # nothing on the real tree is tainted or draws out of order
+        assert real_tree_doc["taint"] == []
+        assert real_tree_doc["draw_order"] == []

@@ -25,15 +25,6 @@ class TestLink:
         late = link.send(100.0)
         assert late == 100.0 + 4 + 10
 
-    def test_statistics(self):
-        link = Link(latency=10, cycles_per_packet=4)
-        link.send(0.0)
-        link.send(0.0)
-        assert link.packets == 2
-        assert link.busy_cycles == 8
-        assert link.queue_cycles == 4
-        assert link.utilization(16) == pytest.approx(0.5)
-
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
             Link(latency=1, cycles_per_packet=0)

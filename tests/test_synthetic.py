@@ -1,5 +1,7 @@
 """Tests for repro.workloads.synthetic: profiles and address streams."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.config import small_config
 from repro.sim.address import AddressMap
 from repro.workloads.synthetic import AppProfile, CoreStream, stream_seed
+from repro.workloads.table4 import APPLICATIONS
 
 
 def make_stream(profile: AppProfile, app_id=0, core_id=0, warp_id=0, seed=1,
@@ -176,3 +179,70 @@ class TestProfileProperties:
             assert gap >= 1
             assert len(lines) <= coalesce
             assert all(line % 128 == 0 for line in lines)
+
+
+#: bounds the bounded-draw equivalence covers: edge cases around powers
+#: of two, and every size a Table 4 profile draws below
+DRAW_BOUNDS = sorted(
+    {1, 2, 3, 7, 8, 9, 2**20, 2**20 + 1}
+    | {p.footprint_lines for p in APPLICATIONS}
+    | {p.shared_lines for p in APPLICATIONS}
+    | {p.stream_lines for p in APPLICATIONS}
+)
+#: ring sizes cover the small bounds only: a ring of 2**20 lines would
+#: pre-fill a million entries per stream
+RING_BOUNDS = [n for n in DRAW_BOUNDS if n <= 4096]
+DRAW_SEEDS = (1, 7, 2024)
+
+
+def _site_profile(site: str, n: int) -> AppProfile:
+    """A profile whose every access takes one bounded-draw site."""
+    if site == "ring":
+        return AppProfile("T", "t", r_m=0.5, p_reuse=1.0, p_seq=0.0,
+                          footprint_lines=n, gap_jitter=0.0)
+    if site == "shared":
+        return AppProfile("T", "t", r_m=0.5, p_reuse=0.0, p_seq=0.0,
+                          shared_frac=1.0, shared_lines=n, footprint_lines=1,
+                          gap_jitter=0.0)
+    return AppProfile("T", "t", r_m=0.5, p_reuse=0.0, p_seq=0.0,
+                      stream_lines=n, footprint_lines=4, gap_jitter=0.0)
+
+
+class TestBoundedDraw:
+    """The stream's inlined bounded draw is ``randrange(n)``, word for word.
+
+    Each profile routes every access through one draw site.  The
+    reference replays the stream's draws on ``random.Random(seed)`` with
+    ``randrange``: the reuse-ring pre-fill, then one ``random()`` roll
+    and one ``randrange(n)`` per access.  The addresses must match and
+    both generators must end in the same state, so a CPython whose
+    ``randrange`` consumes different words fails here first.
+    """
+
+    @pytest.mark.parametrize("site", ["ring", "shared", "jump"])
+    def test_inlined_draw_matches_randrange(self, site):
+        bounds = RING_BOUNDS if site == "ring" else DRAW_BOUNDS
+        for n in bounds:
+            profile = _site_profile(site, n)
+            for seed in DRAW_SEEDS:
+                stream = make_stream(profile, seed=seed)
+                ref = random.Random(stream_seed(seed, 0, 0, 0))
+                base = stream.core_stream.base
+                ring = [
+                    base + ref.randrange(profile.stream_lines) * 128
+                    for _ in range(profile.footprint_lines)
+                ]
+                assert stream._ring == ring, (site, n, seed)
+                for _ in range(64):
+                    ref.random()
+                    i = ref.randrange(n)
+                    if site == "ring":
+                        expected = ring[i]
+                    elif site == "shared":
+                        expected = stream.shared_base + i * 128
+                    else:
+                        expected = base + (i % profile.stream_lines) * 128
+                    assert stream.next_request() == (
+                        profile.inst_gap, [expected]
+                    ), (site, n, seed)
+                assert stream.rng.getstate() == ref.getstate(), (site, n, seed)
