@@ -1,15 +1,14 @@
 """Developer tooling: the repo's own static-analysis pass.
 
 ``repro.devtools`` hosts a lint framework plus sixteen repo-specific
-rules that guard the reproduction's headline guarantees.  The per-file
-AST rules live in :mod:`repro.devtools.rules`:
+rules that guard the reproduction's headline guarantees.  Every rule
+reads one summary per source file (:mod:`repro.devtools.semantic
+.summary`), extracted in one walk and cached by content digest.  The
+single-file rules live in :mod:`repro.devtools.rules` and filter the
+summaries' sites:
 
 * **R002 float-equality** — no ``==``/``!=`` against float expressions
   in library code;
-* **R003 cache-schema drift** — the serialized field sets of
-  ``SimResult``/``SchemeResult``/``WindowSample`` are fingerprinted and
-  pinned against ``CACHE_FORMAT``, so changing them without bumping the
-  version (the PR 1 ``windows`` bug) fails the lint;
 * **R004 layering** — experiments/metrics/scripts use the
   ``repro.sim`` facade, never engine internals; the simulator never
   imports the experiment layer;
@@ -19,12 +18,18 @@ AST rules live in :mod:`repro.devtools.rules`:
   through the atomic-replace helpers;
 * **R007 no-print** and **R008 hot-path allocation** in the simulator.
 
-The whole-program rules live in :mod:`repro.devtools.semantic` and
-read cached per-file summaries: **R001 determinism** (no unseeded
-global RNG, no wall-clock reads or set-ordered iteration in the
-simulator), **R009**–**R011** (``MemTxn`` lifecycle, pool-worker races,
-typed core), **R012**/**R013** (units, clock domains) and
-**R014**–**R016** (effect taint, RNG draw order, fingerprint purity).
+**R003 cache-schema drift** (same package) fingerprints the serialized
+field sets of ``SimResult``/``SchemeResult``/``WindowSample`` and pins
+them against ``CACHE_FORMAT``, so changing them without bumping the
+version (a ``windows`` field the serializer once dropped) fails the
+lint.
+
+The whole-program rules live in :mod:`repro.devtools.semantic`:
+**R001 determinism** (no unseeded global RNG, no wall-clock reads or
+set-ordered iteration in the simulator), **R009**–**R011** (``MemTxn``
+lifecycle, pool-worker races, typed core), **R012**/**R013** (units,
+clock domains) and **R014**–**R016** (effect taint, RNG draw order,
+fingerprint purity).
 
 Run it with ``python -m repro lint [paths...]`` or
 ``python scripts/lint.py``; suppress a finding in place with a

@@ -1,13 +1,12 @@
 """Per-file and per-project context handed to lint rules.
 
-A :class:`FileContext` bundles everything a file-scoped rule needs —
-source text, parsed AST (parsed on first use, so a file whose findings
-are replayed from the lint cache is never parsed), and the file's
-*layer identity* (dotted module name under ``src/``, or its
-``tests``/``scripts``/``benchmarks`` role).
-A :class:`ProjectContext` wraps the whole batch for project-scoped
-rules (e.g. the cache-schema fingerprint check, which correlates
-several files and a pinned artifact).
+A :class:`FileContext` bundles what the rules need of one file — source
+text, parsed AST (parsed on first use, so a file whose summary is
+cached is parsed only if a rule needs its tree), and the file's *layer
+identity* (dotted module name under ``src/``, or its
+``tests``/``scripts``/``benchmarks`` role), by which the single-file
+rules scope themselves.  A :class:`ProjectContext` wraps the whole
+batch the rules check.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def module_name_for(relpath: Path) -> str | None:
 
 
 class FileContext:
-    """One source file, as seen by file-scoped rules."""
+    """One source file of the lint batch."""
 
     def __init__(
         self,
@@ -64,6 +63,13 @@ class FileContext:
         """The parsed module, parsed on first use (``SyntaxError`` if
         the source does not parse)."""
         return ast.parse(self.source, filename=str(self.path))
+
+    @cached_property
+    def digest(self) -> str:
+        """The source's content digest, half of its summary's cache key."""
+        from repro.devtools.semantic.cache import content_digest
+
+        return content_digest(self.source)
 
     @cached_property
     def lines(self) -> list[str]:
@@ -114,14 +120,10 @@ class FileContext:
             return False
         return any(mod == p or mod.startswith(p + ".") for p in prefixes)
 
-    def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` (best effort; '' if unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
-
 
 @dataclass
 class ProjectContext:
-    """The whole lint batch, for project-scoped rules."""
+    """The whole lint batch."""
 
     root: Path  #: project root (directory holding ``pyproject.toml``)
     files: list[FileContext] = field(default_factory=list)

@@ -58,18 +58,3 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> Finding:
-        """Inverse of :meth:`to_dict` (the lint cache's stored form);
-        raises ``KeyError``/``TypeError``/``ValueError`` on a malformed
-        document."""
-        rule, path, message = doc["rule"], doc["path"], doc["message"]
-        line, col = doc["line"], doc["col"]
-        if not (
-            isinstance(rule, str) and isinstance(path, str)
-            and isinstance(message, str)
-            and type(line) is int and type(col) is int
-        ):
-            raise TypeError(f"malformed finding document: {doc!r}")
-        return cls(rule, Severity(doc["severity"]), path, line, col, message)

@@ -13,9 +13,9 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.devtools.context import FileContext, ProjectContext, module_name_for
+from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import all_rules
 from repro.devtools.suppressions import filter_suppressed
@@ -51,13 +51,16 @@ def find_root(start: Path) -> Path:
 
 
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:
+    """The ``.py`` files under ``paths``, skipping :data:`_SKIP_DIRS`
+    below each walked directory (not above it: a checkout may live under
+    a directory called ``results``)."""
     files: list[Path] = []
     for path in paths:
         if path.is_dir():
             files.extend(
                 p
                 for p in sorted(path.rglob("*.py"))
-                if not any(part in _SKIP_DIRS for part in p.parts)
+                if _SKIP_DIRS.isdisjoint(p.relative_to(path).parts)
             )
         elif path.suffix == ".py":
             files.append(path)
@@ -72,26 +75,17 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
     return unique
 
 
-def _replay(stored: dict[str, Any] | None, rule_id: str) -> list[Finding] | None:
-    """``rule_id``'s recorded findings, or ``None`` when the record holds
-    no well-formed entry for it (the rule then runs)."""
-    docs = None if stored is None else stored.get(rule_id)
-    if not isinstance(docs, list):
-        return None
-    try:
-        return [Finding.from_dict(doc) for doc in docs]
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def _prune(cache: AnalysisCache, root: Path, digests: dict[str, str | None]) -> None:
-    """Keep the records and summaries of paths whose file still holds
-    the recorded content: ``digests`` for this batch (``None`` when
-    unparseable), the disk for every other path, so linting a subset
-    keeps the rest of the tree's cache."""
-    from repro.devtools.semantic.cache import content_digest, summary_key
+    """Keep the summaries whose file, named by the summary's own
+    ``path``, still holds the content it was keyed by: ``digests`` for
+    this batch (``None`` when unparseable), the disk for other paths, so
+    linting a subset keeps the rest of the tree's cache."""
+    from repro.devtools.semantic.cache import content_digest
 
-    def digest_now(relpath: str) -> str | None:
+    def digest_now(doc: object) -> str | None:
+        relpath = doc.get("path") if isinstance(doc, dict) else None
+        if not isinstance(relpath, str):
+            return None
         if relpath in digests:
             return digests[relpath]
         try:
@@ -99,11 +93,9 @@ def _prune(cache: AnalysisCache, root: Path, digests: dict[str, str | None]) -> 
         except (OSError, UnicodeDecodeError):
             return None
 
-    kept = cache.prune_records(digest_now)
     cache.prune({
-        summary_key(module, digest)
-        for relpath, digest in kept.items()
-        if (module := module_name_for(Path(relpath))) is not None
+        key for key, doc in cache.items()
+        if digest_now(doc) == key.rpartition(":")[2]
     })
 
 
@@ -154,30 +146,23 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint ``paths`` (files or directories), returning sorted findings.
 
-    With the lint cache under ``<root>/.lint-cache/``, a file whose
-    per-path record matches its content is neither parsed nor checked:
-    its file-rule findings are replayed, and only the project rules run
-    in full (reading cached summaries).  ``semantic_cache=False``
-    disables the cache: every file is parsed, checked and summarized.
-    ``changed``, when given, narrows the *report* to findings
-    in those repo-relative paths: file rules skip other files outright,
-    and project rules still analyze the whole tree (cross-file findings
-    need it) but only findings located in changed files are returned.
-    ``jobs`` parallelizes semantic summarization (byte-identical
-    findings either way).  ``_project_out``, when given, receives the
-    built :class:`ProjectContext` so the CLI can reuse the memoized
-    project graph for ``--graph`` without a second build.
+    Every rule reads the batch's file summaries, which the lint cache
+    (``<root>/.lint-cache/``; off with ``semantic_cache=False``) keeps by
+    content digest, so a cached file is parsed only if a rule needs its
+    tree (R003, R009, the units pass) or a finding its ``noqa`` extents.
+    ``changed`` narrows the *report* to those repo-relative paths; the
+    rules still see the whole batch.  ``jobs`` parallelizes
+    summarization (same findings).  ``_project_out`` receives the built
+    :class:`ProjectContext`, so ``--graph`` reuses its memoized graph.
     """
     # Imported here: ``repro.cli`` imports this module for every command,
     # and the semantic package otherwise loads with the rules.
-    from repro.devtools.semantic.cache import content_digest
-    from repro.devtools.semantic.graph import analysis_cache_for
+    from repro.devtools.semantic.graph import analysis_cache_for, cache_key
 
     path_objs = [Path(p) for p in paths]
     if root is None:
         root = find_root(path_objs[0] if path_objs else Path.cwd())
     rules = all_rules(select)
-    file_rules = [rule for rule in rules if rule.scope == "file"]
 
     project = ProjectContext(root=root)
     if not semantic_cache:
@@ -198,11 +183,9 @@ def lint_paths(
             relpath = path.name
         try:
             ctx = FileContext(path=path, relpath=Path(relpath), source=path.read_text())
-            digest = content_digest(ctx.source)
-            stored = cache.rules_for(relpath, digest) if cache is not None else None
-            if stored is None:
-                # No record: parse now, so an unparseable file is
-                # reported on every run and never reaches project rules.
+            if cache is None or cache_key(ctx) not in cache:
+                # Not summarized yet: parse now, so an unparseable file
+                # is reported on every run and never reaches the rules.
                 ctx.tree
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
             digests[relpath] = None
@@ -216,27 +199,15 @@ def lint_paths(
                     message=f"cannot parse: {exc.__class__.__name__}: {exc}",
                 ))
             continue
-        digests[relpath] = digest
+        digests[relpath] = ctx.digest
         project.files.append(ctx)
-        checked = file_rules if changed is None or relpath in changed else []
-        fresh: dict[str, list[dict]] = {}
-        for rule in checked:
-            found = _replay(stored, rule.id)
-            if found is None:
-                found = filter_suppressed(rule.check_file(ctx), *ctx.noqa_extents)
-                fresh[rule.id] = [f.to_dict() for f in found]
-            findings.extend(found)
-        if cache is not None and (stored is None or fresh):
-            cache.record(relpath, digest, fresh)
-    # Prune before the project rules run: the graph build then saves
-    # the cache once, with the records and summaries together.
+    # Prune before the rules run: the graph build then saves the cache
+    # once, with its new summaries.
     if cache is not None:
         _prune(cache, root, digests)
 
     contexts = {str(ctx.relpath): ctx for ctx in project.files}
     for rule in rules:
-        if rule.scope != "project":
-            continue
         for finding in rule.check_project(project):
             if changed is not None and finding.path not in changed:
                 continue
@@ -349,8 +320,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-semantic-cache",
         action="store_true",
-        help="disable the per-file semantic analysis cache "
-        "(<root>/.lint-cache/)",
+        help="disable the lint cache of file summaries (<root>/.lint-cache/)",
     )
     parser.add_argument(
         "--changed",
@@ -359,9 +329,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="REF",
         help="only report findings in files changed since REF "
-        "(git diff + untracked; REF defaults to HEAD). Project-wide "
-        "analyses still see the whole tree, so cross-file findings "
-        "stay correct — only the report is narrowed.",
+        "(git diff + untracked; REF defaults to HEAD). The rules still "
+        "see the whole tree; only the report is narrowed.",
     )
     parser.add_argument(
         "--jobs",

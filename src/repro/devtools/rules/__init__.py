@@ -5,9 +5,11 @@ Importing this package registers every rule with
 that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
-The per-file rules (R002–R008) live in this package; the whole-program
-rules (R001 and R009–R016) live in :mod:`repro.devtools.semantic` and
-are imported here for the same register-on-import effect.
+The single-file rules (R002, R004–R008) and R003 live in this package; the
+single-file ones filter the file summaries of
+:mod:`repro.devtools.semantic.summary`.  The whole-program rules (R001
+and R009–R016) live in :mod:`repro.devtools.semantic` and are imported
+here for the same register-on-import effect.
 """
 
 from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
@@ -27,19 +29,3 @@ from repro.devtools.semantic import (  # noqa: F401  (import-for-effect)
     typedcore,
     units,
 )
-
-__all__ = [
-    "floatcmp",
-    "cache_schema",
-    "layering",
-    "picklability",
-    "atomic_write",
-    "noprint",
-    "hotpath",
-    "lifecycle",
-    "races",
-    "typedcore",
-    "units",
-    "clockdomains",
-    "effects",
-]

@@ -13,83 +13,24 @@ Detection is taint-based and deliberately conservative: a write-mode
 path expression mentions a ``results`` path — either a string constant
 containing ``results`` or a module-level name assigned from one (e.g.
 ``OUT = ROOT / "results" / "reports"``) — is an error outside the
-helper module itself.
+helper module itself.  The file summaries record the writes and their
+taint, with the one write detector R010 and the effect engine share.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries
 
 __all__ = ["AtomicWriteRule"]
 
 #: The one module allowed to open result files raw: it owns the
 #: temp-name + os.replace publication protocol.
 _HELPER_MODULE = "repro.experiments.common"
-
-_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
-
-
-def _mentions_results_string(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Constant)
-            and isinstance(sub.value, str)
-            and "results" in sub.value
-        ):
-            return True
-    return False
-
-
-def _tainted_names(tree: ast.Module) -> set[str]:
-    """Module-level names whose value expression mentions ``results``,
-    plus names assigned from already-tainted names."""
-    tainted: set[str] = set()
-    for _ in range(2):  # one extra pass for simple name-to-name chains
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                value, targets = stmt.value, stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                value, targets = stmt.value, [stmt.target]
-            else:
-                continue
-            is_tainted = _mentions_results_string(value) or any(
-                isinstance(sub, ast.Name) and sub.id in tainted
-                for sub in ast.walk(value)
-            )
-            if is_tainted:
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        tainted.add(target.id)
-    return tainted
-
-
-def _is_write_mode(call: ast.Call, mode_pos: int) -> bool:
-    """Does the open()-style call request a writing mode?"""
-    mode: ast.expr | None = None
-    if len(call.args) > mode_pos:
-        mode = call.args[mode_pos]
-    else:
-        for kw in call.keywords:
-            if kw.arg == "mode":
-                mode = kw.value
-    if mode is None:
-        return False  # default "r"
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return any(c in mode.value for c in "wax+")
-    return True  # dynamic mode: assume the worst
-
-
-def _touches_results(node: ast.AST, tainted: set[str]) -> bool:
-    if _mentions_results_string(node):
-        return True
-    return any(
-        isinstance(sub, ast.Name) and sub.id in tainted for sub in ast.walk(node)
-    )
 
 
 @register
@@ -98,29 +39,19 @@ class AtomicWriteRule(LintRule):
     name = "atomic-write"
     rationale = "results/ is shared by concurrent workers; writes must be atomic"
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test or ctx.module == _HELPER_MODULE:
-            return
-        if not (ctx.in_package("repro") or ctx.is_script):
-            return
-        tainted = _tainted_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx, summary in file_summaries(project):
+            if ctx.is_test or ctx.module == _HELPER_MODULE:
                 continue
-            target: ast.AST | None = None
-            if isinstance(node.func, ast.Name) and node.func.id == "open":
-                if node.args and _is_write_mode(node, mode_pos=1):
-                    target = node.args[0]
-            elif isinstance(node.func, ast.Attribute):
-                if node.func.attr == "open" and _is_write_mode(node, mode_pos=0):
-                    target = node.func.value
-                elif node.func.attr in _WRITE_METHODS:
-                    target = node.func.value
-            if target is not None and _touches_results(target, tainted):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "non-atomic write under results/; route it through "
-                    "repro.experiments.common.atomic_write_text (or "
-                    "ResultStore.save) so concurrent workers cannot tear it",
-                )
+            if not (ctx.in_package("repro") or ctx.is_script):
+                continue
+            for info in summary.functions.values():
+                for write in info.writes:
+                    if write.get("results"):
+                        yield self.at(
+                            str(ctx.relpath), write["line"], col=write["col"],
+                            message="non-atomic write under results/; route "
+                            "it through repro.experiments.common."
+                            "atomic_write_text (or ResultStore.save) so "
+                            "concurrent workers cannot tear it",
+                        )

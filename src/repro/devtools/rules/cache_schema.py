@@ -153,7 +153,6 @@ class CacheSchemaRule(LintRule):
     rationale = (
         "serialized result fields must not change without a CACHE_FORMAT bump"
     )
-    scope = "project"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         extracted = extract_schema(project)
@@ -162,26 +161,22 @@ class CacheSchemaRule(LintRule):
         schema, cache_format, serializer = extracted
         anchor = _module_constant(serializer.tree, "CACHE_FORMAT")
         assert anchor is not None  # extract_schema validated it
-        line = anchor[0].lineno
+        path, line = str(serializer.relpath), anchor[0].lineno
         pin = load_pin(project.root)
         fingerprint = schema_fingerprint(schema)
         fix = "bump CACHE_FORMAT and run 'python -m repro lint --update-cache-schema'"
         if pin is None:
-            yield self.finding(
-                serializer,
-                None,
+            yield self.at(
+                path, line,
                 f"no schema pin at {PIN_RELPATH}; run "
                 "'python -m repro lint --update-cache-schema' to create it",
-                line=line,
             )
             return
         if cache_format != pin.get("cache_format"):
-            yield self.finding(
-                serializer,
-                None,
+            yield self.at(
+                path, line,
                 f"CACHE_FORMAT is {cache_format} but the pin records "
                 f"{pin.get('cache_format')}; {fix}",
-                line=line,
             )
         elif fingerprint != pin.get("fingerprint"):
             changed = sorted(
@@ -189,11 +184,9 @@ class CacheSchemaRule(LintRule):
                 for name in schema
                 if schema[name] != (pin.get("schema") or {}).get(name)
             )
-            yield self.finding(
-                serializer,
-                None,
+            yield self.at(
+                path, line,
                 "cached-result schema drifted without a CACHE_FORMAT bump "
                 f"(changed: {', '.join(changed) or 'unknown'}); stale cache "
                 f"entries would half-deserialize — {fix}",
-                line=line,
             )

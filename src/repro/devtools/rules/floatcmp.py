@@ -11,7 +11,8 @@ float-like: a float literal, a ``float(...)`` call, or ``math.inf`` /
 Tests are exempt — asserting an exact value is the *point* of a
 determinism regression test — as is comparison against ``0.0`` inside
 an allowlisted module (none today).  Intentional exact comparisons in
-library code take a ``# repro: noqa[R002]``.
+library code take a ``# repro: noqa[R002]``.  The rule filters the
+comparisons the file summaries record (``FileSummary.float_eqs``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries
 
 __all__ = ["FloatEqualityRule", "ALLOWED_MODULES"]
 
@@ -30,51 +32,28 @@ __all__ = ["FloatEqualityRule", "ALLOWED_MODULES"]
 ALLOWED_MODULES: frozenset[str] = frozenset()
 
 
-def _is_floatlike(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "float"
-    ):
-        return True
-    if isinstance(node, ast.Attribute) and node.attr in ("inf", "nan"):
-        base = node.value
-        return isinstance(base, ast.Name) and base.id in ("math", "np", "numpy")
-    if isinstance(node, ast.UnaryOp):
-        return _is_floatlike(node.operand)
-    return False
-
-
 @register
 class FloatEqualityRule(LintRule):
     id = "R002"
     name = "float-equality"
     rationale = "exact float comparison hides epsilon decisions; make them explicit"
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test:
-            return
-        if ctx.module is not None and ctx.module in ALLOWED_MODULES:
-            return
-        if not (ctx.in_package("repro") or ctx.is_script):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx, summary in file_summaries(project):
+            if ctx.is_test or ctx.module in ALLOWED_MODULES:
                 continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if _is_floatlike(left) or _is_floatlike(right):
-                    frag = ctx.segment(node) or "float comparison"
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"exact float comparison '{frag.strip()}'; compare "
-                        "against a documented epsilon (see "
-                        "repro.metrics.bandwidth.EPS) or add "
-                        "'# repro: noqa[R002]' if exactness is intended",
-                    )
-                    break
+            if not (ctx.in_package("repro") or ctx.is_script):
+                continue
+            for site in summary.float_eqs:
+                extent = ast.expr(
+                    lineno=site["line"], col_offset=site["col"],
+                    end_lineno=site["end_line"], end_col_offset=site["end_col"],
+                )
+                frag = ast.get_source_segment(ctx.source, extent) or "float comparison"
+                yield self.at(
+                    str(ctx.relpath), site["line"], col=site["col"],
+                    message=f"exact float comparison '{frag.strip()}'; compare "
+                    "against a documented epsilon (see "
+                    "repro.metrics.bandwidth.EPS) or add "
+                    "'# repro: noqa[R002]' if exactness is intended",
+                )

@@ -22,16 +22,18 @@ rule keeps that property from regressing:
 opt-in diagnostics that wrap the dispatch path with closures by design,
 and their documented cost model already says "don't use while
 benchmarking" (see ``docs/observability.md``).
+
+The file summaries record the closures and the classes without slots.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries
 
 __all__ = ["HotPathRule"]
 
@@ -60,67 +62,6 @@ _HOT_CLASSES = frozenset({
 })
 
 
-def _has_slots(node: ast.ClassDef) -> bool:
-    """True if the class declares ``__slots__`` one way or another."""
-    for stmt in node.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__slots__":
-                return True
-    for dec in node.decorator_list:
-        # @dataclass(slots=True), possibly spelled dataclasses.dataclass
-        if isinstance(dec, ast.Call):
-            for kw in dec.keywords:
-                if (
-                    kw.arg == "slots"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                ):
-                    return True
-    return False
-
-
-def _per_event_closures(
-    node: ast.AST, runtime: bool
-) -> Iterator[tuple[ast.AST, str]]:
-    """Yield (node, kind) for function objects created per call.
-
-    ``runtime`` is True while inside the body of any function other
-    than ``__init__`` — code there runs once per event, so a ``lambda``
-    or ``def`` encountered allocates on the hot path.  Module level,
-    class bodies, decorators, and argument defaults execute where the
-    enclosing statement does.
-    """
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        if runtime:
-            yield node, "nested function definition"
-        for dec in node.decorator_list:
-            yield from _per_event_closures(dec, runtime)
-        args = node.args
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is not None:
-                yield from _per_event_closures(default, runtime)
-        body_runtime = runtime or node.name != "__init__"
-        for stmt in node.body:
-            yield from _per_event_closures(stmt, body_runtime)
-    elif isinstance(node, ast.Lambda):
-        if runtime:
-            yield node, "lambda"
-        yield from _per_event_closures(node.body, runtime)
-    elif isinstance(node, ast.ClassDef):
-        for dec in node.decorator_list:
-            yield from _per_event_closures(dec, runtime)
-        for stmt in node.body:
-            yield from _per_event_closures(stmt, runtime)
-    else:
-        for child in ast.iter_child_nodes(node):
-            yield from _per_event_closures(child, runtime)
-
-
 @register
 class HotPathRule(LintRule):
     id = "R008"
@@ -131,35 +72,27 @@ class HotPathRule(LintRule):
     )
     severity = Severity.ERROR
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test or not ctx.in_package(*_HOT_MODULES):
-            return
-        for stmt in ctx.tree.body:
-            for node, kind in _per_event_closures(stmt, False):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{kind} on the event-dispatch path allocates a function "
-                    "object per event; pre-bind the callback at construction "
-                    "time (functools.partial / bound method in __init__) or "
-                    "make the event object callable (see DRAMRequest)",
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx, summary in file_summaries(project):
+            if ctx.is_test or not ctx.in_package(*_HOT_MODULES):
+                continue
+            path = str(ctx.relpath)
+            for site in summary.closures:
+                yield self.at(
+                    path, site["line"], col=site["col"],
+                    message=f"{site['kind']} on the event-dispatch path "
+                    "allocates a function object per event; pre-bind the "
+                    "callback at construction time (functools.partial / "
+                    "bound method in __init__) or make the event object "
+                    "callable (see DRAMRequest)",
                 )
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name in _HOT_CLASSES
-                and not _has_slots(node)
-            ):
-                yield Finding(
-                    rule=self.id,
-                    severity=Severity.WARNING,
-                    path=str(ctx.relpath),
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"hot class {node.name} has no __slots__: its "
-                        "instances live on the per-event path, where a "
+            for cls in summary.unslotted:
+                if cls["name"] in _HOT_CLASSES:
+                    yield self.at(
+                        path, cls["line"], col=cls["col"],
+                        severity=Severity.WARNING,
+                        message=f"hot class {cls['name']} has no __slots__: "
+                        "its instances live on the per-event path, where a "
                         "__dict__ costs memory and attribute-lookup time; "
-                        "declare __slots__ or use @dataclass(slots=True)"
-                    ),
-                )
+                        "declare __slots__ or use @dataclass(slots=True)",
+                    )

@@ -22,17 +22,20 @@ The dependency contract of the tree:
   through the ambient metrics registry keeps profiled and unprofiled
   runs bit-identical.
 
-Tests are exempt: white-box tests poke internals by design.
+A ``from P import name`` imports module ``P.name`` too when the batch
+has that module, so ``from repro.sim import engine`` is an internal
+import.  Tests are exempt: white-box tests poke internals by design.
+The rule filters the import statements the file summaries record.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries, graph_for_project
 
 __all__ = ["LayeringRule"]
 
@@ -52,36 +55,30 @@ _SIM_FORBIDDEN_OBS = (
 )
 
 
-def _type_checking_lines(tree: ast.Module) -> set[int]:
-    """Line numbers inside ``if TYPE_CHECKING:`` blocks."""
-    lines: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        name = (
-            test.id
-            if isinstance(test, ast.Name)
-            else test.attr
-            if isinstance(test, ast.Attribute)
-            else None
-        )
-        if name == "TYPE_CHECKING":
-            for stmt in node.body:
-                lines.update(range(stmt.lineno, (stmt.end_lineno or stmt.lineno) + 1))
-    return lines
-
-
-def _imported_modules(node: ast.stmt) -> list[str]:
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-        return [node.module]
-    return []
-
-
 def _under(module: str, *prefixes: str) -> bool:
     return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
+def _violation(module: str, consumer: bool, provider: bool) -> str | None:
+    """The message for importing ``module`` from this layer, if barred."""
+    if consumer and _under(module, "repro.sim") and module != "repro.sim":
+        return (
+            f"import of sim internal '{module}'; import from the public "
+            "facade 'repro.sim' instead (add the name to the facade if it "
+            "is missing)"
+        )
+    if provider and _under(module, *_ABOVE_SIM):
+        return (
+            f"repro.sim must not import the experiment layer ('{module}'); "
+            "move the dependency up or inject it"
+        )
+    if provider and _under(module, *_SIM_FORBIDDEN_OBS):
+        return (
+            f"repro.sim must not import '{module}': the telemetry stream "
+            "consumes engine output; publish through the metrics registry "
+            "(repro.obs.metrics) or the probe API instead"
+        )
+    return None
 
 
 @register
@@ -90,41 +87,26 @@ class LayeringRule(LintRule):
     name = "layering"
     rationale = "experiments use the repro.sim facade; sim never imports upward"
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test:
-            return
-        consumer = ctx.in_package(*_FACADE_CONSUMERS) or ctx.is_script
-        provider = ctx.in_package("repro.sim")
-        if not (consumer or provider):
-            return
-        exempt = _type_checking_lines(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        modules = graph_for_project(project).modules
+        for ctx, summary in file_summaries(project):
+            consumer = ctx.in_package(*_FACADE_CONSUMERS) or ctx.is_script
+            provider = ctx.in_package("repro.sim")
+            if ctx.is_test or not (consumer or provider):
                 continue
-            if node.lineno in exempt:
-                continue
-            for module in _imported_modules(node):
-                if consumer and _under(module, "repro.sim") and module != "repro.sim":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"import of sim internal '{module}'; import from the "
-                        "public facade 'repro.sim' instead (add the name to "
-                        "the facade if it is missing)",
-                    )
-                elif provider and _under(module, *_ABOVE_SIM):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"repro.sim must not import the experiment layer "
-                        f"('{module}'); move the dependency up or inject it",
-                    )
-                elif provider and _under(module, *_SIM_FORBIDDEN_OBS):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"repro.sim must not import '{module}': the "
-                        "telemetry stream consumes engine output; publish "
-                        "through the metrics registry (repro.obs.metrics) "
-                        "or the probe API instead",
-                    )
+            for stmt in summary.import_stmts:
+                if stmt.get("type_checking"):
+                    continue
+                targets = stmt["modules"]
+                if "names" in stmt and not _violation(targets[0], consumer, provider):
+                    targets = [
+                        f"{targets[0]}.{name}" for name in stmt["names"]
+                        if f"{targets[0]}.{name}" in modules
+                    ]
+                for module in targets:
+                    message = _violation(module, consumer, provider)
+                    if message is not None:
+                        yield self.at(
+                            str(ctx.relpath), stmt["line"], message,
+                            col=stmt["col"],
+                        )

@@ -11,19 +11,19 @@ ambient publisher (:mod:`repro.obs.live`), a metric on the registry
 which survive into the run's event stream and ``repro trace summarize``.
 
 The rule is a *warning* (reported, does not fail the lint run) and
-flags only calls of the ``print`` builtin; writing to an explicit
-stream object is not its business.  A deliberate console escape hatch
+flags only calls of the ``print`` builtin (the file summaries record
+them); writing to an explicit stream object is not its business.  A deliberate console escape hatch
 takes a ``# repro: noqa[R007]``.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries
 
 __all__ = ["NoPrintRule"]
 
@@ -41,20 +41,16 @@ class NoPrintRule(LintRule):
     )
     severity = Severity.WARNING
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test or not ctx.in_package(*_SILENT_LAYERS):
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "bare print() in a simulation layer; emit through the "
-                    "publisher/metrics registry (repro.obs) or a structured "
-                    "decision record instead, or add '# repro: noqa[R007]' "
-                    "for a deliberate console escape hatch",
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx, summary in file_summaries(project):
+            if ctx.is_test or not ctx.in_package(*_SILENT_LAYERS):
+                continue
+            for site in summary.prints:
+                yield self.at(
+                    str(ctx.relpath), site["line"], col=site["col"],
+                    message="bare print() in a simulation layer; emit "
+                    "through the publisher/metrics registry (repro.obs) or "
+                    "a structured decision record instead, or add "
+                    "'# repro: noqa[R007]' for a deliberate console escape "
+                    "hatch",
                 )

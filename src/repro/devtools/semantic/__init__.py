@@ -1,16 +1,16 @@
 """Whole-program semantic analysis for the repro tree.
 
-The per-file AST rules (R002–R008) check invariants a single parse can
-see.  This package adds the cross-function layer:
+Every lint rule reads the same per-file records; this package holds
+them and the cross-function layer built on them:
 
 * :mod:`repro.devtools.semantic.summary` — one compact, cacheable
-  summary per source file (imports, definitions and a ``<module>`` unit
-  with their calls, state mutations, file writes, effect events and
-  set-ordered iteration sites) — the one vocabulary every rule below
-  reads;
+  summary per source file, extracted in one walk (imports, definitions
+  and a ``<module>`` unit with their calls, state mutations, file
+  writes, effect events and set-ordered iteration sites, plus the sites
+  the single-file rules filter) — the one vocabulary every rule reads;
 * :mod:`repro.devtools.semantic.cache` — a content-hash-keyed store for
-  those summaries and for each file's file-rule findings, so
-  ``repro lint`` parses and re-checks only edited files;
+  those summaries, so ``repro lint`` parses and re-summarizes only
+  edited files;
 * :mod:`repro.devtools.semantic.graph` — the project import/call graph
   built from the summaries (JSON-dumpable via ``repro lint --graph``);
 * :mod:`repro.devtools.semantic.effects` — **R001** (direct ambient

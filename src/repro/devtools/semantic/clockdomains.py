@@ -32,10 +32,7 @@ from repro.devtools.semantic.units import units_analysis
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
 
-__all__ = ["ANALYSIS_VERSION", "ClockDomainRule"]
-
-#: Version of the clock-domain check, part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["ClockDomainRule"]
 
 
 @register
@@ -48,8 +45,6 @@ class ClockDomainRule(LintRule):
         "event constructor)"
     )
     severity = Severity.ERROR
-    scope = "project"
-    analysis_version = ANALYSIS_VERSION
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:

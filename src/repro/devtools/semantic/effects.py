@@ -104,7 +104,8 @@ __all__ = [
     "FingerprintPurityRule",
 ]
 
-#: Version of the effect analysis; part of the AnalysisCache key.
+#: Version of the effect analysis, published as the ``analysis_version``
+#: field of ``effects_graph.json``.
 ANALYSIS_VERSION = 1
 
 #: kind -> one-line description (also published in effects_graph.json).
@@ -181,7 +182,7 @@ def _is_fingerprint_root(key: str, module: str) -> bool:
 
 
 def _event_kind(event: dict[str, Any]) -> str | None:
-    """Map a v3 summary effect event to an effect kind."""
+    """Map a summary effect event to an effect kind."""
     kind = event.get("kind")
     if kind == "rng-draw":
         stream = event.get("stream")
@@ -639,7 +640,6 @@ class DeterminismRule(LintRule):
         "all randomness flows from the run seed; no wall-clock or "
         "set-order leaks into simulation state"
     )
-    scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         # Library code only: tests may use ambient randomness to build
@@ -694,7 +694,6 @@ class EffectTaintRule(LintRule):
         "not transitively reach sim state, worker entry points, cache "
         "keys, or fingerprints — found interprocedurally"
     )
-    scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         world = effects_world_for(project)
@@ -732,7 +731,6 @@ class DrawOrderRule(LintRule):
         "RNG draws under set-ordered iteration or clock/env-dependent "
         "control flow reorder the stream between runs even when seeded"
     )
-    scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         world = effects_world_for(project)
@@ -754,7 +752,6 @@ class FingerprintPurityRule(LintRule):
         "functions reachable from cache-key/fingerprint computation "
         "must infer pure; accepted debt is baselined and ratchets down"
     )
-    scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         world = effects_world_for(project)

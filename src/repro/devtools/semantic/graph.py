@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.devtools.semantic.cache import AnalysisCache, content_digest, summary_key
+from repro.devtools.semantic.cache import AnalysisCache, summary_key
 from repro.devtools.semantic.summary import FileSummary, FunctionInfo, summarize_file
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +44,8 @@ __all__ = [
     "analysis_cache_for",
     "analysis_versions",
     "build_graph",
+    "cache_key",
+    "file_summaries",
     "graph_for_project",
 ]
 
@@ -65,6 +67,9 @@ _SUBMIT_TAILS = ("submit",)
 class ProjectGraph:
     """The resolved whole-program view of one lint batch."""
 
+    #: every file's summary, in batch order (those outside the module
+    #: roots included)
+    files: list[FileSummary] = field(default_factory=list)
     #: module name -> its summary
     modules: dict[str, FileSummary] = field(default_factory=dict)
     #: "module.qualname" -> FunctionInfo, for every definition
@@ -199,29 +204,18 @@ def _devtools_digest() -> str:
 
 
 def analysis_versions() -> dict[str, Any]:
-    """Per-analysis version fingerprint for the :class:`AnalysisCache`.
-
-    Every semantic component whose inputs flow through cached summaries
-    declares an ``ANALYSIS_VERSION``; the cached file-rule findings are
-    covered by the ``devtools`` entry, a digest of the devtools sources.
-    Changing any of them discards the cache wholesale, so editing a
-    *rule* re-analyzes instead of serving findings computed by its
-    previous self.  (Lazy imports: the rule modules import this one.)
+    """The fingerprint the :class:`AnalysisCache` is keyed on: a digest
+    of the devtools sources and the Python minor version.  Editing the
+    summary extractor or any rule changes it and discards the cache
+    wholesale, so nothing is served that a previous version computed.
     """
-    from repro.devtools.semantic import (
-        clockdomains, effects, lifecycle, races, summary, typedcore, units,
-    )
+    return {"devtools": _devtools_digest()}
 
-    return {
-        "summary": summary.ANALYSIS_VERSION,
-        "lifecycle": lifecycle.ANALYSIS_VERSION,
-        "races": races.ANALYSIS_VERSION,
-        "typedcore": typedcore.ANALYSIS_VERSION,
-        "units": units.ANALYSIS_VERSION,
-        "clockdomains": clockdomains.ANALYSIS_VERSION,
-        "effects": effects.ANALYSIS_VERSION,
-        "devtools": _devtools_digest(),
-    }
+
+def cache_key(ctx: "FileContext") -> str:
+    """The cache key of a file's summary: its module name (its path,
+    outside the module roots) and the digest of its source."""
+    return summary_key(ctx.module or str(ctx.relpath), ctx.digest)
 
 
 def _summarize_source_job(spec: tuple[str, str, str]) -> dict:
@@ -232,7 +226,7 @@ def _summarize_source_job(spec: tuple[str, str, str]) -> dict:
     return summarize_file(module, path, ast.parse(source)).to_dict()
 
 
-def _load_cached_summary(doc: object, module: str) -> FileSummary | None:
+def _load_cached_summary(doc: object, module: str | None) -> FileSummary | None:
     """Deserialize one cached entry, treating anything malformed as a
     miss.
 
@@ -255,8 +249,8 @@ def _summaries_for(
     files: "list[FileContext]",
     cache: AnalysisCache | None,
     jobs: int | None,
-) -> tuple[dict[int, FileSummary], int]:
-    """Index-keyed summaries for the batch, cache-aware, and the number
+) -> tuple[list[FileSummary], int]:
+    """Every file's summary, in batch order, cache-aware, and the number
     of cache misses (an entry that fails to load is a miss).
 
     Cache misses fan out over :func:`repro.exec.run_jobs` when ``jobs``
@@ -270,12 +264,10 @@ def _summaries_for(
     temp-file + replace path.  No child process holds a cache handle,
     so a parallel run cannot interleave partial writes.
     """
-    summaries: dict[int, FileSummary] = {}
+    summaries: list[Any] = [None] * len(files)
     misses: list[tuple[int, "FileContext", str]] = []
     for i, ctx in enumerate(files):
-        if ctx.module is None:
-            continue
-        key = summary_key(ctx.module, content_digest(ctx.source))
+        key = cache_key(ctx)
         if cache is not None:
             cached = _load_cached_summary(cache.get(key), ctx.module)
             if cached is not None:
@@ -309,22 +301,25 @@ def build_graph(
 ) -> ProjectGraph:
     """Build the :class:`ProjectGraph` for a batch of parsed files.
 
-    Files outside the module roots (no layer identity) are skipped;
+    Every file is summarized, but files outside the module roots (no
+    layer identity) stay out of the module index and the call graph;
     test files participate so worker functions defined in tests resolve,
     but nothing forces them to.  ``jobs`` parallelizes summarization of
     cache misses (summaries are picklable JSON); findings built from
     the graph stay byte-identical to a serial build.
     """
     graph = ProjectGraph()
-    summaries, misses = _summaries_for(files, cache, jobs)
-    for _i, summary in sorted(summaries.items()):
+    graph.files, misses = _summaries_for(files, cache, jobs)
+    for summary in graph.files:
+        if summary.module is None:
+            continue
         graph.modules[summary.module] = summary
         for qual, info in summary.functions.items():
             key = f"{summary.module}.{qual}"
             graph.functions[key] = info
             graph.paths[key] = summary.path
     if cache is not None:
-        graph.cache_hits, graph.cache_misses = len(summaries) - misses, misses
+        graph.cache_hits, graph.cache_misses = len(files) - misses, misses
         cache.save()
 
     # Resolve call edges and worker registrations.
@@ -364,8 +359,8 @@ def build_graph(
 def analysis_cache_for(project: Any) -> AnalysisCache | None:
     """The one :class:`AnalysisCache` of a lint invocation, loaded on
     first use and stashed on the :class:`~repro.devtools.context
-    .ProjectContext`, so the linter's per-path records and the graph's
-    summaries share one load and one save.  ``semantic_cache_path``,
+    .ProjectContext`, so the linter's pruning and the graph's summaries
+    share one load and one save.  ``semantic_cache_path``,
     when set before first use, overrides ``<root>/.lint-cache/``
     (``None`` disables the cache, for ``--no-semantic-cache``).
     """
@@ -396,3 +391,9 @@ def graph_for_project(project: Any) -> ProjectGraph:
     graph = build_graph(project.files, analysis_cache_for(project), jobs=jobs)
     project._semantic_graph = graph
     return graph
+
+
+def file_summaries(project: Any) -> "list[tuple[FileContext, FileSummary]]":
+    """Every file of the batch with its summary, in batch order: what the
+    single-file rules filter (findings go to ``ctx.relpath``)."""
+    return list(zip(project.files, graph_for_project(project).files))

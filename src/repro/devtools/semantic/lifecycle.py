@@ -54,14 +54,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.devtools.context import FileContext
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 
-__all__ = ["ANALYSIS_VERSION", "EngineAnalysis", "analyze_engine", "LifecycleRule"]
-
-#: Version of the lifecycle analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["EngineAnalysis", "analyze_engine", "LifecycleRule"]
 
 #: The module the stage machine lives in.
 ENGINE_MODULE = "repro.sim.engine"
@@ -751,9 +748,8 @@ class LifecycleRule(LintRule):
     )
     severity = Severity.ERROR
 
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.module != ENGINE_MODULE:
-            return
-        analysis = analyze_engine(ctx.tree)
-        for line, col, message in analysis.findings:
-            yield self.finding(ctx, None, message, line=line, col=col)
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx in project.files:
+            if ctx.module == ENGINE_MODULE:
+                for line, col, message in analyze_engine(ctx.tree).findings:
+                    yield self.at(str(ctx.relpath), line, message, col=col)

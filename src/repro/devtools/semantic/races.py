@@ -51,10 +51,7 @@ from repro.devtools.semantic.graph import graph_for_project
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
 
-__all__ = ["ANALYSIS_VERSION", "RaceRule"]
-
-#: Version of the race analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["RaceRule"]
 
 #: Resolved callees that install ambient per-process state.  A worker
 #: calling one of these configures only its own child process.
@@ -76,7 +73,6 @@ class RaceRule(LintRule):
         "ambient-state installs, and raw file writes there are lost or "
         "torn, silently, only when a sweep runs parallel"
     )
-    scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         graph = graph_for_project(project)

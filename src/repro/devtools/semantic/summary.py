@@ -1,25 +1,34 @@
-"""Per-file semantic summaries: the cacheable unit of whole-program analysis.
+"""Per-file summaries: the one walk every lint rule reads.
 
-A :class:`FileSummary` is everything the cross-file passes need to know
-about one source file, extracted in a single AST walk and serializable
+A :class:`FileSummary` is everything the rules need to know about one
+source file, extracted in a single pass over its tree and serializable
 as plain JSON (so :class:`~repro.devtools.semantic.cache.AnalysisCache`
 can key it by content hash):
 
 * the import map (local alias -> dotted target), which the graph
-  builder chases through package facades;
+  resolution chases through package facades, and the import statements
+  themselves, for the layering rule (R004);
 * every function/method definition, with the calls it makes, the
   function references it passes as arguments (``run_jobs(worker, ...)``,
   ``partial(f, ...)``), the module-level names it mutates, the file
-  writes it performs, its effect events and its set-ordered iteration
-  sites — plus one ``<module>`` unit (:data:`MODULE_UNIT`) for the code
-  that runs at import time;
+  writes it performs (tagged when the path mentions ``results``), its
+  effect events and its set-ordered iteration sites — plus one
+  ``<module>`` unit (:data:`MODULE_UNIT`) for the code that runs at
+  import time;
 * the module-level *mutable* bindings (dict/list/set displays and
   constructor calls) — the state the R010 race detector cares about;
-* the ``from random import X`` bindings of the module-level RNG.
+* the ``from random import X`` bindings of the module-level RNG;
+* the sites the single-file rules filter: float ``==``/``!=``
+  comparisons (R002), lambdas and nested defs handed to pickling calls
+  (R005), ``print`` calls (R007), closures created per call and classes
+  without ``__slots__`` (R008), and unannotated parameters and returns
+  (R011).
 
 This module is the one vocabulary of ambient RNG draws, clock/entropy
-reads, set-ordered iteration, state mutation and file writes: R001,
-R010 and R014–R016 all read these records and parse nothing themselves.
+reads, set-ordered iteration, state mutation and file writes, and every
+rule but R003, R009 and the units pass (R012/R013) reads only these
+records.  Files outside the module roots get a summary too (with no
+module name), since R005 checks every file.
 
 Resolution is deliberately deferred: a summary records ``self.foo`` and
 ``mod.bar`` textually; :mod:`repro.devtools.semantic.graph` resolves
@@ -34,28 +43,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "FileSummary",
     "FunctionInfo",
     "MODULE_UNIT",
+    "PICKLING_CALLS",
     "extract_unit_sigs",
     "summarize_file",
 ]
-
-#: Version of the summary extraction itself; part of the AnalysisCache
-#: key (see :mod:`repro.devtools.semantic.cache`), so changing what a
-#: summary records re-summarizes every file instead of serving stale
-#: cached documents.
-#:
-#: v3: per-function *effect events* (RNG draws tagged with stream
-#: origin, wall-clock/entropy/env reads, unordered-iteration and
-#: clock-dependent-control-flow context flags) for the R014–R016
-#: effect-inference pass (:mod:`repro.devtools.semantic.effects`).
-#:
-#: v4: the ``<module>`` unit, set-ordered iteration sites,
-#: ``from random import`` bindings, and ``register_policy`` name/factory
-#: on call records — what R001, R010 and the policy audit read.
-ANALYSIS_VERSION = 4
 
 #: Qualname of the per-file unit holding import-time code: top-level
 #: statements, class bodies, and the decorators and default arguments of
@@ -78,7 +72,15 @@ _MUTABLE_CONSTRUCTORS = frozenset({
 #: ``open`` modes that write.
 _WRITE_MODE_CHARS = frozenset("wax+")
 
-# --- effect-event vocabularies (v3, for R014-R016) -------------------------
+#: Callee leaf name -> what it pickles to pool processes: the worker
+#: (first argument), every field of a job spec, or a policy factory.
+PICKLING_CALLS = {
+    "run_jobs": "worker", "submit": "worker",
+    "SimJob": "field", "OpenSimJob": "field",
+    "register_policy": "factory",
+}
+
+# --- effect-event vocabularies (R014-R016) ---------------------------------
 #
 # Summaries record effect *events* textually and locally, like calls:
 # classification of a dotted name happens against the module's own
@@ -158,6 +160,14 @@ def _looks_like_rng(receiver: str) -> bool:
     return leaf == "rng" or leaf.endswith("rng") or leaf == "random"
 
 
+def _fill(obj: Any, doc: dict[str, Any]) -> None:
+    """Set ``obj``'s container fields from ``doc``, each copied into the
+    type of its default (``TypeError``/``ValueError`` if malformed)."""
+    for name, empty in vars(obj).items():
+        if name in doc and isinstance(empty, (dict, list)):
+            setattr(obj, name, type(empty)(doc[name]))
+
+
 @dataclass
 class FunctionInfo:
     """One function or method definition, flattened.
@@ -179,10 +189,12 @@ class FunctionInfo:
     #: "op": "method" | "subscript" | "augassign" | "global-assign",
     #: "method": "append" | None, "line": int}``
     mutations: list[dict[str, Any]] = field(default_factory=list)
-    #: file-writing operations: ``{"kind": "open" | "write_text" |
-    #: "write_bytes", "line": int}``
+    #: file-writing calls (see :func:`_write_of`): ``{"kind": "open" |
+    #: "write_text" | "write_bytes", "line": int, "col": int}``, plus
+    #: ``"results": true`` when the path expression mentions a
+    #: ``results`` string or a module-level name bound to one.
     writes: list[dict[str, Any]] = field(default_factory=list)
-    #: effect events (v3): ``{"kind": "clock" | "entropy" | "env",
+    #: effect events: ``{"kind": "clock" | "entropy" | "env",
     #: "source": "time.time", "line": int}`` and ``{"kind": "rng-draw",
     #: "stream": "seeded" | "ambient" | "system" | "attr", ...}``.
     #: Events carry ``"unordered": true`` when they fire inside
@@ -196,39 +208,31 @@ class FunctionInfo:
     unordered_iters: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "calls": self.calls,
-            "mutations": self.mutations,
-            "writes": self.writes,
-            "effects": self.effects,
-            "unordered_iters": self.unordered_iters,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=doc["qualname"],
-            lineno=doc["lineno"],
-            calls=list(doc.get("calls", ())),
-            mutations=list(doc.get("mutations", ())),
-            writes=list(doc.get("writes", ())),
-            effects=list(doc.get("effects", ())),
-            unordered_iters=list(doc.get("unordered_iters", ())),
-        )
+        info = cls(qualname=doc["qualname"], lineno=doc["lineno"])
+        _fill(info, doc)
+        return info
 
 
 @dataclass
 class FileSummary:
-    """The semantic summary of one source file."""
+    """The summary of one source file.  Site records locate findings
+    with ``"line"`` and ``"col"`` (0-based, as in :mod:`ast`)."""
 
-    module: str  #: dotted module name (``repro.exec.pool``)
+    #: dotted module name (``repro.exec.pool``); None outside the roots
+    module: str | None
     path: str  #: repo-relative path, for findings
     #: local alias -> dotted target; from-imports record the full object
     #: path (``run_jobs`` -> ``repro.exec.pool.run_jobs``), plain
     #: imports the module (``np`` -> ``numpy``).
     imports: dict[str, str] = field(default_factory=dict)
+    #: absolute import statements: ``{"line", "col", "modules": [dotted,
+    #: ...]}``, plus ``"type_checking": true`` under ``if TYPE_CHECKING:``;
+    #: a ``from P import a, b`` has ``"modules": [P], "names": ["a", "b"]``.
+    import_stmts: list[dict[str, Any]] = field(default_factory=list)
     #: module-level names bound to mutable displays/constructors.
     mutable_globals: dict[str, int] = field(default_factory=dict)
     #: qualname -> info, for every function and method in the file.
@@ -243,34 +247,39 @@ class FileSummary:
     #: ``from random import X`` bindings of the module-level RNG, anywhere
     #: in the file: ``{"name": "choice", "line": int}``.
     random_imports: list[dict[str, Any]] = field(default_factory=list)
+    #: extents of ``==``/``!=`` comparisons with a float-like operand:
+    #: ``{"line", "col", "end_line", "end_col"}``.
+    float_eqs: list[dict[str, Any]] = field(default_factory=list)
+    #: lambdas and nested defs passed where :data:`PICKLING_CALLS` pickle
+    #: them: ``{"line", "col", "call": "run_jobs", "name": "f" | None}``.
+    pickled: list[dict[str, Any]] = field(default_factory=list)
+    #: bare ``print(...)`` calls: ``{"line", "col"}``.
+    prints: list[dict[str, Any]] = field(default_factory=list)
+    #: lambdas and defs made per call of a def other than ``__init__``:
+    #: ``{"line", "col", "kind": "lambda" | "nested function definition"}``.
+    closures: list[dict[str, Any]] = field(default_factory=list)
+    #: classes declaring neither ``__slots__`` nor
+    #: ``@dataclass(slots=True)``: ``{"name", "line", "col"}``.
+    unslotted: list[dict[str, Any]] = field(default_factory=list)
+    #: top-level functions and methods of top-level classes with a bare
+    #: parameter or return: ``{"qual": "f" | "Cls.m", "line", "col",
+    #: "missing": [param, "*args", ...], "returns": bool}`` (receivers
+    #: are never missing).
+    untyped: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "mutable_globals": self.mutable_globals,
-            "functions": {q: f.to_dict() for q, f in self.functions.items()},
-            "classes": self.classes,
-            "unit_sigs": self.unit_sigs,
-            "random_imports": self.random_imports,
-        }
+        doc = dict(vars(self))
+        doc["functions"] = {q: f.to_dict() for q, f in self.functions.items()}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "FileSummary":
-        return cls(
-            module=doc["module"],
-            path=doc["path"],
-            imports=dict(doc.get("imports", {})),
-            mutable_globals=dict(doc.get("mutable_globals", {})),
-            functions={
-                q: FunctionInfo.from_dict(f)
-                for q, f in doc.get("functions", {}).items()
-            },
-            classes={k: list(v) for k, v in doc.get("classes", {}).items()},
-            unit_sigs=dict(doc.get("unit_sigs", {})),
-            random_imports=list(doc.get("random_imports", ())),
-        )
+        summary = cls(module=doc["module"], path=doc["path"])
+        _fill(summary, doc)
+        summary.functions = {
+            q: FunctionInfo.from_dict(f) for q, f in summary.functions.items()
+        }
+        return summary
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -296,34 +305,162 @@ def _is_mutable_value(value: ast.expr) -> bool:
     return False
 
 
-def _open_writes(call: ast.Call) -> bool:
-    """Does this ``open(...)`` call open for writing?"""
-    mode: ast.expr | None = None
-    if len(call.args) >= 2:
-        mode = call.args[1]
-    for kw in call.keywords:
-        if kw.arg == "mode":
-            mode = kw.value
-    if mode is None:
-        return False  # default "r"
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return any(c in _WRITE_MODE_CHARS for c in mode.value)
-    return True  # dynamic mode: assume it can write
+def _write_of(
+    call: ast.Call, imports: dict[str, str]
+) -> tuple[str, ast.expr | None] | None:
+    """``(kind, path expression)`` when ``call`` writes a file, else None.
+
+    Writes are ``path.write_text``/``write_bytes`` on any receiver, and
+    a writing ``open``: ``open(path, mode)``, a module's
+    ``gzip.open(path, mode)``, or a path object's ``path.open(mode)``.
+    A mode that is not a string constant is assumed to write.
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return func.attr, func.value
+    if isinstance(func, ast.Name) and func.id == "open" or (
+        isinstance(func, ast.Attribute) and func.attr == "open"
+        and isinstance(func.value, ast.Name) and func.value.id in imports
+    ):
+        mode_pos, target = 1, call.args[0] if call.args else None
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode_pos, target = 0, func.value
+    else:
+        return None
+    mode = call.args[mode_pos] if len(call.args) > mode_pos else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None
+    )
+    if mode is None or (
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and not _WRITE_MODE_CHARS.intersection(mode.value)
+    ):
+        return None  # the default "r", or a reading mode
+    return "open", target
+
+
+def _mentions_results(node: ast.AST, names: set[str]) -> bool:
+    """Does ``node`` hold a string mentioning ``results``, or one of
+    ``names``?"""
+    return any(
+        isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        and "results" in sub.value
+        or isinstance(sub, ast.Name) and sub.id in names
+        for sub in ast.walk(node)
+    )
+
+
+def _results_names(tree: ast.Module) -> set[str]:
+    """Module-level names whose value mentions ``results``, plus names
+    assigned from such names (a second pass follows simple chains)."""
+    tainted: set[str] = set()
+    for _ in range(2):
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                value, targets = stmt.value, stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                value, targets = stmt.value, [stmt.target]
+            else:
+                continue
+            if _mentions_results(value, tainted):
+                tainted.update(t.id for t in targets if isinstance(t, ast.Name))
+    return tainted
+
+
+def _is_floatlike(node: ast.expr) -> bool:
+    """A float literal, ``float(...)``, or ``math``/``np``'s inf or nan
+    (possibly negated)."""
+    if isinstance(node, ast.UnaryOp):
+        return _is_floatlike(node.operand)
+    if isinstance(node, ast.Attribute) and node.attr in ("inf", "nan"):
+        return getattr(node.value, "id", None) in ("math", "np", "numpy")
+    return isinstance(node, ast.Constant) and isinstance(node.value, float) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+    )
+
+
+def _has_slots(node: ast.ClassDef) -> bool:
+    """True if the class declares ``__slots__`` one way or another."""
+    for stmt in node.body:
+        targets: list[ast.expr] = []
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+            return True
+    # @dataclass(slots=True), possibly spelled dataclasses.dataclass
+    return any(
+        kw.arg == "slots" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for dec in node.decorator_list if isinstance(dec, ast.Call)
+        for kw in dec.keywords
+    )
+
+
+def _site(node: ast.AST, **extra: Any) -> dict[str, Any]:
+    return {"line": node.lineno, "col": node.col_offset, **extra}
+
+
+def _note_untyped(
+    summary: FileSummary,
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    qual: str,
+    is_method: bool,
+) -> None:
+    """Add ``node``'s :attr:`FileSummary.untyped` record, if it has one."""
+    args = node.args
+    params = [*args.posonlyargs, *args.args][1 if is_method else 0:]
+    missing = [a.arg for a in (*params, *args.kwonlyargs) if a.annotation is None]
+    for star, arg in (("*", args.vararg), ("**", args.kwarg)):
+        if arg is not None and arg.annotation is None:
+            missing.append(star + arg.arg)
+    if missing or node.returns is None:
+        summary.untyped.append(_site(
+            node, qual=qual, missing=missing, returns=node.returns is not None,
+        ))
+
+
+def _note_class(summary: FileSummary, node: ast.ClassDef) -> None:
+    if not _has_slots(node):
+        summary.unslotted.append(_site(node, name=node.name))
+
+
+@dataclass
+class _FileSites:
+    """What the walkers of one file share while extracting its summary."""
+
+    summary: FileSummary
+    class_names: set[str]
+    #: names of defs made inside another def's body
+    nested: set[str] = field(default_factory=set)
+    #: names passed to pickling calls, kept if :attr:`nested` has them
+    pickled_names: list[dict[str, Any]] = field(default_factory=list)
+    #: write records with their path expressions, tagged at the end
+    write_paths: list[tuple[dict, ast.expr | None]] = field(default_factory=list)
+    #: lines inside ``if TYPE_CHECKING:`` blocks
+    guarded: set[int] = field(default_factory=set)
 
 
 class _FunctionWalker(ast.NodeVisitor):
     """Collect one definition's calls/mutations/writes/effects (nested
-    defs flattened into the same :class:`FunctionInfo`)."""
+    defs flattened into the same :class:`FunctionInfo`), and the file's
+    sites in it.  ``body_of`` is the definition whose body is walked
+    (None for the ``<module>`` unit)."""
 
     def __init__(
         self,
         info: FunctionInfo,
-        class_names: set[str],
-        imports: dict[str, str] | None = None,
+        sites: _FileSites,
+        body_of: ast.FunctionDef | ast.AsyncFunctionDef | None = None,
     ) -> None:
         self.info = info
-        self.class_names = class_names
-        self.imports = imports or {}
+        self.sites = sites
+        self.class_names = sites.class_names
+        self.imports = sites.summary.imports
+        #: inside some def's body (a def here is nested), and inside a
+        #: body that runs per call (any def's but ``__init__``'s)
+        self._in_def = body_of is not None
+        self._per_call = body_of is not None and body_of.name != "__init__"
         #: local name -> class name it was constructed from
         #: (``sim = Simulator(...)`` => ``{"sim": "Simulator"}``), for
         #: one-level method-call resolution.
@@ -488,7 +625,15 @@ class _FunctionWalker(ast.NodeVisitor):
         if clocked:
             self._clock_dep -= 1
 
-    visit_If = _visit_branch
+    def visit_If(self, node: ast.If) -> None:
+        test = node.test
+        if getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING":
+            for stmt in node.body:
+                self.sites.guarded.update(
+                    range(stmt.lineno, (stmt.end_lineno or stmt.lineno) + 1)
+                )
+        self._visit_branch(node)
+
     visit_While = _visit_branch
 
     def _visit_comprehension(
@@ -622,10 +767,78 @@ class _FunctionWalker(ast.NodeVisitor):
                         "target": receiver, "op": "method", "method": last,
                         "line": node.lineno,
                     })
-            if last == "open" and _open_writes(node):
-                self.info.writes.append({"kind": "open", "line": node.lineno})
-            elif last in ("write_text", "write_bytes"):
-                self.info.writes.append({"kind": last, "line": node.lineno})
+        leaf = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if leaf == "print" and isinstance(func, ast.Name):
+            self.sites.summary.prints.append(_site(node))
+        elif leaf in PICKLING_CALLS:
+            self._note_pickled(node, leaf)
+        written = _write_of(node, self.imports)
+        if written is not None:
+            write = _site(node, kind=written[0])
+            self.info.writes.append(write)
+            self.sites.write_paths.append((write, written[1]))
+        self.generic_visit(node)
+
+    def _note_pickled(self, node: ast.Call, callee: str) -> None:
+        """Record the lambdas, and the names that may be nested defs, a
+        pickling call ships (positions as :data:`PICKLING_CALLS` says)."""
+        role = PICKLING_CALLS[callee]
+        if role == "worker":
+            shipped = node.args[:1]
+        elif role == "field":
+            shipped = [*node.args, *(kw.value for kw in node.keywords)]
+        else:
+            shipped = [_factory_of(node)]
+        for arg in shipped:
+            if isinstance(arg, ast.Lambda):
+                self.sites.summary.pickled.append(_site(arg, call=callee, name=None))
+            elif isinstance(arg, ast.Name) and role != "field":
+                self.sites.pickled_names.append(_site(arg, call=callee, name=arg.id))
+
+    # -- definitions (R005, R008) --------------------------------------
+
+    def _note_closure(self, node: ast.AST, kind: str) -> None:
+        if self._per_call:
+            self.sites.summary.closures.append(_site(node, kind=kind))
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        """A def inside a body: nested, and a closure if that body runs
+        per call.  Fields are visited in :meth:`generic_visit`'s order."""
+        if self._in_def:
+            self.sites.nested.add(node.name)
+        self._note_closure(node, "nested function definition")
+        self.visit(node.args)
+        outer = self._in_def, self._per_call
+        self._in_def = True
+        self._per_call = self._per_call or node.name != "__init__"
+        for stmt in node.body:
+            self.visit(stmt)
+        self._in_def, self._per_call = outer
+        for expr in node.decorator_list:
+            self.visit(expr)
+        if node.returns is not None:
+            self.visit(node.returns)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._note_closure(node, "lambda")
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        _note_class(self.sites.summary, node)
+        self.generic_visit(node)
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left, *node.comparators]
+        if any(
+            isinstance(op, (ast.Eq, ast.NotEq))
+            and (_is_floatlike(left) or _is_floatlike(right))
+            for op, left, right in zip(node.ops, operands, operands[1:])
+        ):
+            self.sites.summary.float_eqs.append(_site(
+                node, end_line=node.end_lineno, end_col=node.end_col_offset,
+            ))
         self.generic_visit(node)
 
     def visit_header(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
@@ -637,13 +850,18 @@ class _FunctionWalker(ast.NodeVisitor):
                 self.visit(expr)
 
 
+def _factory_of(call: ast.Call) -> ast.expr | None:
+    """The factory argument of a ``register_policy(name, factory)`` call."""
+    if len(call.args) >= 2:
+        return call.args[1]
+    return next((kw.value for kw in reversed(call.keywords)
+                 if kw.arg == "factory"), None)
+
+
 def _note_policy(call: ast.Call, record: dict[str, Any]) -> None:
     """Add the policy name constant and the factory reference of one
     ``register_policy(name, factory)`` call to its call record."""
-    factory = call.args[1] if len(call.args) >= 2 else None
-    for kw in call.keywords:
-        if kw.arg == "factory":
-            factory = kw.value
+    factory = _factory_of(call)
     ref = _dotted(factory) if factory is not None else None
     if ref is None:
         return  # lambdas and computed factories: R005's business
@@ -657,13 +875,10 @@ def _note_policy(call: ast.Call, record: dict[str, Any]) -> None:
 
 
 def _walk_definition(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    qualname: str,
-    class_names: set[str],
-    imports: dict[str, str] | None = None,
+    node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str, sites: _FileSites
 ) -> FunctionInfo:
     info = FunctionInfo(qualname=qualname, lineno=node.lineno)
-    walker = _FunctionWalker(info, class_names, imports)
+    walker = _FunctionWalker(info, sites, body_of=node)
     for stmt in node.body:
         walker.visit(stmt)
     return info
@@ -755,23 +970,29 @@ def extract_unit_sigs(tree: ast.Module) -> dict[str, Any]:
     return sigs
 
 
-def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
+def summarize_file(module: str | None, path: str, tree: ast.Module) -> FileSummary:
     """Extract the :class:`FileSummary` of one parsed source file."""
     summary = FileSummary(module=module, path=path)
     summary.unit_sigs = extract_unit_sigs(tree)
-
-    class_names: set[str] = {
+    sites = _FileSites(summary, {
         n.name for n in tree.body if isinstance(n, ast.ClassDef)
-    }
+    })
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
                 summary.imports[local] = alias.name
+            summary.import_stmts.append(
+                _site(node, modules=[alias.name for alias in node.names])
+            )
         elif isinstance(node, ast.ImportFrom):
             if node.module is None or node.level:
                 continue  # relative imports are not used in this tree
+            names = [alias.name for alias in node.names]
+            summary.import_stmts.append(
+                _site(node, modules=[node.module], names=names)
+            )
             for alias in node.names:
                 if node.module == "random" and alias.name not in _AMBIENT_RNG_OK:
                     summary.random_imports.append(
@@ -783,14 +1004,14 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
                 summary.imports[local] = f"{node.module}.{alias.name}"
             # A from-import also marks imported *classes* as resolvable
             # constructor names for one-level method resolution.
-            class_names.update(
+            sites.class_names.update(
                 alias.asname or alias.name
                 for alias in node.names
                 if alias.name[:1].isupper()
             )
 
     module_unit = FunctionInfo(qualname=MODULE_UNIT, lineno=1)
-    at_import = _FunctionWalker(module_unit, class_names, summary.imports)
+    at_import = _FunctionWalker(module_unit, sites)
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             at_import.visit_header(stmt)
@@ -808,11 +1029,11 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
         ):
             summary.mutable_globals[stmt.target.id] = stmt.lineno
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = _walk_definition(
-                stmt, stmt.name, class_names, summary.imports
-            )
+            info = _walk_definition(stmt, stmt.name, sites)
             summary.functions[info.qualname] = info
+            _note_untyped(summary, stmt, stmt.name, False)
         elif isinstance(stmt, ast.ClassDef):
+            _note_class(summary, stmt)
             for expr in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
                 at_import.visit(expr)
             methods: list[str] = []
@@ -820,9 +1041,8 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods.append(sub.name)
                     qual = f"{stmt.name}.{sub.name}"
-                    summary.functions[qual] = _walk_definition(
-                        sub, qual, class_names, summary.imports
-                    )
+                    summary.functions[qual] = _walk_definition(sub, qual, sites)
+                    _note_untyped(summary, sub, qual, True)
                     at_import.visit_header(sub)
                 else:
                     at_import.visit(sub)
@@ -833,4 +1053,13 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
         or module_unit.effects or module_unit.unordered_iters
     ):
         summary.functions[MODULE_UNIT] = module_unit
+    summary.pickled += [s for s in sites.pickled_names if s["name"] in sites.nested]
+    for stmt in summary.import_stmts:
+        if stmt["line"] in sites.guarded:
+            stmt["type_checking"] = True
+    if sites.write_paths:
+        names = _results_names(tree)
+        for write, target in sites.write_paths:
+            if target is not None and _mentions_results(target, names):
+                write["results"] = True
     return summary

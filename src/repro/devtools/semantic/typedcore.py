@@ -20,42 +20,24 @@ Scope decisions, so the rule stays about the public surface:
 * nested functions are exempt (not callable from outside);
 * public methods of *private* classes (``class _Foo``) are exempt — the
   class itself is not reachable from the public surface.
+
+The file summaries record every definition with a bare parameter or
+return (``FileSummary.untyped``); the rule filters them by visibility.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
+from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.graph import file_summaries
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.devtools.context import FileContext
-
-__all__ = ["ANALYSIS_VERSION", "TypedCoreRule", "TYPED_PACKAGES"]
-
-#: Version of the typed-core analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["TypedCoreRule", "TYPED_PACKAGES"]
 
 #: The packages whose public surface must be fully annotated.
 TYPED_PACKAGES = ("repro.sim", "repro.exec")
-
-
-def _missing_params(node: ast.FunctionDef | ast.AsyncFunctionDef,
-                    *, is_method: bool) -> list[str]:
-    args = node.args
-    ordered = [*args.posonlyargs, *args.args]
-    if is_method and ordered:
-        ordered = ordered[1:]  # self / cls
-    ordered += args.kwonlyargs
-    missing = [a.arg for a in ordered if a.annotation is None]
-    if args.vararg is not None and args.vararg.annotation is None:
-        missing.append("*" + args.vararg.arg)
-    if args.kwarg is not None and args.kwarg.annotation is None:
-        missing.append("**" + args.kwarg.arg)
-    return missing
 
 
 def _is_public(name: str) -> bool:
@@ -74,40 +56,27 @@ class TypedCoreRule(LintRule):
         "caller of that surface"
     )
 
-    def check_file(self, ctx: "FileContext") -> Iterator[Finding]:
-        if not ctx.in_package(*TYPED_PACKAGES):
-            return
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_def(ctx, node, is_method=False)
-            elif isinstance(node, ast.ClassDef) and _is_public(node.name):
-                for sub in node.body:
-                    if isinstance(sub, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef)):
-                        yield from self._check_def(ctx, sub, is_method=True)
-
-    def _check_def(
-        self,
-        ctx: "FileContext",
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        *,
-        is_method: bool,
-    ) -> Iterator[Finding]:
-        if not _is_public(node.name) or node.name == "__init_subclass__":
-            return
-        missing = _missing_params(node, is_method=is_method)
-        if missing:
-            yield self.finding(
-                ctx, node,
-                f"public {'method' if is_method else 'function'} "
-                f"{node.name}() in a typed-core package leaves "
-                f"parameter(s) {', '.join(repr(m) for m in missing)} "
-                "unannotated",
-            )
-        if node.returns is None and node.name != "__init__":
-            yield self.finding(
-                ctx, node,
-                f"public {'method' if is_method else 'function'} "
-                f"{node.name}() in a typed-core package has no return "
-                "annotation",
-            )
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for ctx, summary in file_summaries(project):
+            if not ctx.in_package(*TYPED_PACKAGES):
+                continue
+            for record in summary.untyped:
+                cls, _, name = record["qual"].rpartition(".")
+                if (cls and not _is_public(cls) or not _is_public(name)
+                        or name == "__init_subclass__"):
+                    continue
+                kind = "method" if cls else "function"
+                where = str(ctx.relpath), record["line"]
+                if record["missing"]:
+                    missing = ", ".join(repr(m) for m in record["missing"])
+                    yield self.at(
+                        *where, col=record["col"],
+                        message=f"public {kind} {name}() in a typed-core "
+                        f"package leaves parameter(s) {missing} unannotated",
+                    )
+                if not record["returns"] and name != "__init__":
+                    yield self.at(
+                        *where, col=record["col"],
+                        message=f"public {kind} {name}() in a typed-core "
+                        "package has no return annotation",
+                    )

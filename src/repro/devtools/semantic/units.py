@@ -64,10 +64,8 @@ __all__ = [
     "units_graph_doc",
 ]
 
-#: Version of the unit-inference pass; participates in the
-#: AnalysisCache key so editing this analysis invalidates cached
-#: summaries (the harvested ``unit_sigs``) instead of serving stale
-#: results.
+#: Version of the unit-inference pass, published as the ``version``
+#: field of ``units_graph.json``.
 ANALYSIS_VERSION = 1
 
 #: Module prefixes whose files are unit-checked.
@@ -437,12 +435,6 @@ class UnitWorld:
     def _sigs(self, module: str) -> dict[str, Any]:
         summary = self.graph.modules.get(module)
         return summary.unit_sigs if summary is not None else {}
-
-    def param_av(self, module: str, qualname: str, param: str) -> AV:
-        sig = self._sigs(module).get("functions", {}).get(qualname)
-        if sig is None:
-            return UNKNOWN
-        return self.ann_av(module, sig.get("params", {}).get(param))
 
     def return_av(self, key: str) -> AV:
         """Declared return value of ``"module.qualname"``."""
@@ -1108,8 +1100,6 @@ class UnitConfusionRule(LintRule):
         "peak against absolute rates"
     )
     severity = Severity.ERROR
-    scope = "project"
-    analysis_version = ANALYSIS_VERSION
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:

@@ -451,6 +451,27 @@ class TestR004Layering:
         src = "from repro.sim.engine import EventQueue\n"
         assert lint_tree(tmp_path, {"tests/test_foo.py": src}, select=["R004"]) == []
 
+    @pytest.mark.parametrize("relpath, src, module", [
+        ("src/repro/experiments/foo.py", "from repro.sim import engine\n",
+         "repro.sim.engine"),
+        ("src/repro/sim/foo.py", "from repro import experiments\n",
+         "repro.experiments"),
+        ("src/repro/sim/foo.py", "from repro.obs import live\n",
+         "repro.obs.live"),
+    ])
+    def test_submodule_imported_from_its_package_flagged(
+        self, tmp_path, relpath, src, module
+    ):
+        files = {
+            relpath: src,
+            "src/repro/sim/engine.py": "",
+            "src/repro/experiments/__init__.py": "",
+            "src/repro/obs/live.py": "",
+        }
+        findings = lint_tree(tmp_path, files, select=["R004"])
+        assert [(f.path, f.line) for f in findings] == [(relpath, 1)]
+        assert f"'{module}'" in findings[0].message
+
 
 # --- R005 picklability --------------------------------------------------------
 
@@ -764,6 +785,20 @@ class TestLintCLI:
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["no/such/path"]) == 2
 
+    def test_tree_under_a_results_directory_is_linted(self, tmp_path, capsys):
+        # Skipped directory names apply below the walked path, not above.
+        root = tmp_path / "results" / "proj"
+        src = "import random\nx = random.random()\n"
+        for relpath in ("src/repro/bad.py", "src/repro/results/skipped.py"):
+            (root / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (root / relpath).write_text(src)
+        (root / "pyproject.toml").touch()
+        code = main([str(root / "src"), "--root", str(root)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "src/repro/bad.py:2" in out and "skipped" not in out
+        assert "checked 1 file(s)" in out
+
     def test_repro_cli_mounts_lint(self, capsys):
         from repro.cli import main as repro_main
 
@@ -772,7 +807,7 @@ class TestLintCLI:
         assert "R003" in capsys.readouterr().out
 
     def test_each_rule_fires_on_seeded_violation(self, tmp_path):
-        """One seeded violation per rule: the linter must catch all seven."""
+        """One seeded violation per rule: the linter must catch all ten."""
         seeded = {
             "src/repro/sim/r1.py": "import time\nt = time.time()\n",
             "src/repro/core/r7.py": "def f(x):\n    print(x)\n",
@@ -786,9 +821,30 @@ class TestLintCLI:
                 "def f(t):\n"
                 "    open('results/x.json', 'w').write(t)\n"
             ),
+            "src/repro/sim/dram.py": (
+                "def decide(channel: object, now: float) -> object:\n"
+                "    return lambda t: channel.complete(t)\n"
+            ),
+            "src/repro/exec/r11.py": "def f(x):\n    return x\n",
             # R003: schema tree, pinned below, then mutated
             **_SCHEMA_TREE,
         }
+        # R009: a use-after-release in a mini stage machine, ahead of the
+        # schema tree's SimResult (which the R003 mutation appends to).
+        seeded["src/repro/sim/engine.py"] = (
+            "class MemTxn:\n"
+            "    COMPUTE = 0\n"
+            "    __slots__ = ('stage',)\n"
+            "_COMPUTE = MemTxn.COMPUTE\n"
+            "class Simulator:\n"
+            "    __slots__ = ('_txn_pool',)\n"
+            "    def _dispatch(self, txn: MemTxn, now: float) -> None:\n"
+            "        if txn.stage == _COMPUTE:\n"
+            "            self._txn_pool.append(txn)\n"
+            "            txn.stage = _COMPUTE\n"
+            "            return\n"
+            + seeded["src/repro/sim/engine.py"]
+        )
         for relpath, content in seeded.items():
             path = tmp_path / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -799,5 +855,102 @@ class TestLintCLI:
         engine.write_text(engine.read_text() + "    extra: int\n")
         findings = lint_paths([tmp_path], root=tmp_path)
         assert rules_of(findings) >= {
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007",
+            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R009", "R011",
         }
+
+
+class TestRealTreeMutations:
+    """One shipped file per rule, copied into a temp tree with one
+    violation inserted; the finding is pinned to its file and line."""
+
+    def _lint(self, tmp_path, relpath: str, needle: str, replacement: str,
+              rule: str) -> tuple[list[tuple[str, str, int]], list[str]]:
+        source = (REPO_ROOT / relpath).read_text()
+        assert needle in source, f"{relpath} changed: update the mutation seed"
+        mutated = source.replace(needle, replacement, 1)
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(mutated)
+        (tmp_path / "pyproject.toml").touch()
+        findings = lint_paths(
+            [tmp_path / relpath.split("/")[0]], root=tmp_path,
+            select=[rule], semantic_cache=False,
+        )
+        return [(f.rule, f.path, f.line) for f in findings], mutated.splitlines()
+
+    def _line_of(self, lines: list[str], text: str) -> int:
+        return lines.index(text) + 1
+
+    def test_r002_exact_compare_in_bandwidth_trips(self, tmp_path):
+        relpath = "src/repro/metrics/bandwidth.py"
+        found, lines = self._lint(
+            tmp_path, relpath, "    if cmr <= EPS:\n", "    if cmr == 0.0:\n",
+            "R002",
+        )
+        assert found == [("R002", relpath, self._line_of(lines, "    if cmr == 0.0:"))]
+
+    def test_r004_internal_import_in_common_trips(self, tmp_path):
+        relpath = "src/repro/experiments/common.py"
+        mutated = "from repro.sim.stats import SimResult, WindowSample"
+        found, lines = self._lint(
+            tmp_path, relpath,
+            "from repro.sim import SimResult, WindowSample\n", mutated + "\n",
+            "R004",
+        )
+        assert found == [("R004", relpath, self._line_of(lines, mutated))]
+
+    def test_r005_lambda_worker_in_runner_trips(self, tmp_path):
+        relpath = "src/repro/core/runner.py"
+        needle = (
+            "    jobs = alone_jobs(config, app, n_cores, lengths, seed, levels)\n"
+            "    results = run_jobs(run_sim_job, jobs,"
+        )
+        found, lines = self._lint(
+            tmp_path, relpath, needle,
+            needle.replace("run_jobs(run_sim_job,", "run_jobs(lambda j: run_sim_job(j),"),
+            "R005",
+        )
+        line = next(i for i, text in enumerate(lines, 1) if "lambda j:" in text)
+        assert found == [("R005", relpath, line)]
+
+    def test_r006_raw_write_in_make_reports_trips(self, tmp_path):
+        relpath = "scripts/make_reports.py"
+        raw = '        (OUT / f"{name}.txt").write_text(text + "\\n")'
+        found, lines = self._lint(
+            tmp_path, relpath,
+            '        atomic_write_text(OUT / f"{name}.txt", text + "\\n")\n',
+            raw + "\n", "R006",
+        )
+        assert found == [("R006", relpath, self._line_of(lines, raw))]
+
+    def test_r007_print_in_pbs_window_trips(self, tmp_path):
+        relpath = "src/repro/core/pbs.py"
+        needle = "        if self._skip > 0:\n            self._skip -= 1\n"
+        found, lines = self._lint(
+            tmp_path, relpath, needle, "        print(now)\n" + needle, "R007",
+        )
+        assert found == [("R007", relpath, self._line_of(lines, "        print(now)"))]
+
+    def test_r008_lambda_in_dram_decide_trips(self, tmp_path):
+        relpath = "src/repro/sim/dram.py"
+        needle = "        queue = self.queue\n        if not queue:\n"
+        closure = "        by_row = lambda r: r.row"
+        found, lines = self._lint(
+            tmp_path, relpath, needle, needle.replace(
+                "        queue = self.queue\n",
+                f"        queue = self.queue\n{closure}\n",
+            ),
+            "R008",
+        )
+        assert found == [("R008", relpath, self._line_of(lines, closure))]
+
+    def test_r011_unannotated_param_in_pool_trips(self, tmp_path):
+        relpath = "src/repro/exec/pool.py"
+        bare = "def resolve_jobs(n_jobs=None) -> int:"
+        found, lines = self._lint(
+            tmp_path, relpath,
+            "def resolve_jobs(n_jobs: int | None = None) -> int:\n", bare + "\n",
+            "R011",
+        )
+        assert found == [("R011", relpath, self._line_of(lines, bare))]

@@ -1,13 +1,13 @@
-"""Tests for the incremental lint cache: per-path records of file-rule
-findings, trees parsed on demand, and summaries that survive subset
-runs.
+"""Tests for the incremental lint cache: one store of file summaries,
+trees parsed on demand, and summaries that survive subset runs.
 
 A warm ``lint_paths`` must return exactly what a cold or an uncached
-run returns, while parsing only the trees a project rule reads and
-calling no ``check_file`` at all.  The fixture makes every file rule
-fire once, next to a ``# repro: noqa`` twin it must keep suppressed, and
-adds an unparseable file and project-rule findings (one suppressed over
-a multi-line statement).
+run returns, while summarizing nothing and parsing only the trees a
+rule reads (R003, R009, the units pass) or a finding's ``noqa`` extents
+need.  The fixture makes every single-file rule fire once, next to a
+``# repro: noqa`` twin it must keep suppressed, and adds an unparseable
+file and whole-program findings (one suppressed over a multi-line
+statement).
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import all_rules, lint_paths
+from repro.devtools import lint_paths
 from repro.devtools.semantic import graph as graph_module
+from repro.devtools.semantic.summary import FileSummary
 
 CACHE_RELPATH = Path(".lint-cache") / "semantic.json"
 
@@ -108,9 +109,17 @@ FILES = {
 
 FILE_RULES = {"R002", "R004", "R005", "R006", "R007", "R008", "R009", "R011"}
 
-#: Modules the units pass (R012/R013) reads: repro.sim/core/metrics/obs.
+#: Modules the units pass (R012/R013) reads: repro.sim/core/metrics/obs
+#: (R009's engine among them).
 UNIT_FILES = {"src/repro/core/r7.py", "src/repro/sim/dram.py",
               "src/repro/sim/engine.py", "src/repro/sim/r1.py"}
+
+#: What a warm run parses: the units pass's modules, and the files
+#: whose findings sit next to a noqa comment (for its extents).
+WARM_PARSED = UNIT_FILES | {
+    "src/repro/r2.py", "src/repro/experiments/r4.py", "src/repro/r5.py",
+    "src/repro/r6.py", "src/repro/exec/typed.py",
+}
 
 
 def write_tree(root: Path, files: dict[str, str]) -> None:
@@ -136,19 +145,15 @@ def parsed(project) -> set[str]:
 
 
 @pytest.fixture
-def checks(monkeypatch) -> list[tuple[str, str]]:
-    """Every ``check_file`` call, as (rule id, relpath)."""
-    calls: list[tuple[str, str]] = []
-    for rule in all_rules():
-        if rule.scope != "file":
-            continue
-        cls = type(rule)
+def summarized(monkeypatch) -> list[str]:
+    """The path of every file summarized, not served from the cache."""
+    calls: list[str] = []
 
-        def probe(self, ctx, _orig=cls.check_file):
-            calls.append((self.id, str(ctx.relpath)))
-            return _orig(self, ctx)
+    def probe(module, path, tree, _orig=graph_module.summarize_file):
+        calls.append(path)
+        return _orig(module, path, tree)
 
-        monkeypatch.setattr(cls, "check_file", probe)
+    monkeypatch.setattr(graph_module, "summarize_file", probe)
     return calls
 
 
@@ -166,7 +171,7 @@ class TestWarmPath:
         assert cold == warm == uncached
         rules = {line.split(": ")[1].split(" ")[0] for line in cold}
         assert rules >= FILE_RULES | {"E999", "R001", "R014"}
-        # No twin shows through, cold or replayed.
+        # No twin shows through, cold or warm.
         for line in cold:
             relpath, lineno = line.split(":")[:2]
             if relpath in FILES and not relpath.endswith("broken.py"):
@@ -174,97 +179,90 @@ class TestWarmPath:
                 assert "repro: noqa" not in text, line
 
     def test_warm_run_checks_nothing_and_parses_only_project_reads(
-        self, tree, checks
+        self, tree, summarized
     ):
         lint(tree)
-        assert {rule for rule, _ in checks} == FILE_RULES
-        checks.clear()
+        assert set(summarized) == set(FILES) - {"src/repro/broken.py"}
+        summarized.clear()
         _, project = lint(tree)
-        assert checks == []
-        assert parsed(project) == UNIT_FILES
+        assert summarized == []
+        assert parsed(project) == WARM_PARSED
         assert graph_module.graph_for_project(project).cache_misses == 0
 
-    def test_editing_one_file_rechecks_only_that_file(self, tree, checks):
+    def test_editing_one_file_rechecks_only_that_file(self, tree, summarized):
         lint(tree)
-        checks.clear()
+        summarized.clear()
         (tree / "src/repro/r2.py").write_text(
             "def f(x):\n    return x != 2.0\n"
         )
         warm, project = lint(tree)
-        assert {path for _, path in checks} == {"src/repro/r2.py"}
-        assert {rule for rule, _ in checks} == FILE_RULES
-        assert parsed(project) == UNIT_FILES | {"src/repro/r2.py"}
+        assert summarized == ["src/repro/r2.py"]
+        assert parsed(project) == WARM_PARSED
         assert "src/repro/r2.py:2:12: R002" in "\n".join(warm)
         assert warm == lint(tree, semantic_cache=False)[0]
 
-    def test_select_after_full_run_parses_nothing(self, tree, checks):
+    def test_select_after_full_run_summarizes_nothing(self, tree, summarized):
         lint(tree)
-        checks.clear()
+        summarized.clear()
         only, project = lint(tree, select=["R002"])
-        assert checks == [] and parsed(project) == set()
+        assert summarized == []
+        assert parsed(project) == {"src/repro/r2.py"}  # its noqa extents
         assert only == lint(tree, select=["R002"], semantic_cache=False)[0]
 
-    def test_full_run_after_cold_select_fills_missing_rules(self, tree, checks):
+    def test_full_run_after_cold_select_summarizes_nothing(
+        self, tree, summarized
+    ):
         lint(tree, select=["R002"])
-        checks.clear()
+        summarized.clear()
         full, _ = lint(tree)
-        assert checks and "R002" not in {rule for rule, _ in checks}
+        assert summarized == []
         assert full == lint(tree, semantic_cache=False)[0]
-        checks.clear()
-        assert lint(tree)[0] == full and checks == []
 
     def test_devtools_fingerprint_change_discards_everything(
-        self, tree, checks, monkeypatch
+        self, tree, summarized, monkeypatch
     ):
         lint(tree)
-        checks.clear()
+        summarized.clear()
         monkeypatch.setattr(graph_module, "_devtools_digest", lambda: "edited")
         again, project = lint(tree)
-        checked = {path for _, path in checks}
-        assert checked == {str(c.relpath) for c in project.files}
+        assert set(summarized) == {str(c.relpath) for c in project.files}
         assert graph_module.graph_for_project(project).cache_hits == 0
         assert again == lint(tree, semantic_cache=False)[0]
 
-    def test_corrupt_records_degrade_to_recomputation(self, tree, checks):
+    def test_corrupt_records_degrade_to_recomputation(self, tree, summarized):
         cold, _ = lint(tree)
         cache_path = tree / CACHE_RELPATH
         doc = json.loads(cache_path.read_text())
-        records = doc["files"]
-        records["src/repro/r2.py"] = "garbage"
-        records["src/repro/r5.py"]["digest"] = 123
-        records["src/repro/r6.py"]["rules"]["R006"] = "not a list"
-        records["src/repro/core/r7.py"]["rules"]["R007"] = [{"rule": "R007"}]
-        records["src/repro/sim/dram.py"]["rules"]["R008"] = ["not a dict"]
+        entries = doc["entries"]
+        key = {entry["path"]: k for k, entry in entries.items()}
+        entries[key["src/repro/r2.py"]] = "garbage"
+        del entries[key["src/repro/r5.py"]]["module"]
+        entries[key["src/repro/r6.py"]]["functions"] = 5
+        entries[key["src/repro/core/r7.py"]]["prints"] = 3
+        entries[key["src/repro/sim/dram.py"]]["module"] = "repro.other"
         cache_path.write_text(json.dumps(doc))
-        checks.clear()
+        summarized.clear()
 
         warm, _ = lint(tree)
         assert warm == cold
-        assert {path for _, path in checks} == {
-            "src/repro/r2.py", "src/repro/r5.py", "src/repro/r6.py",
-            "src/repro/core/r7.py", "src/repro/sim/dram.py",
-        }
-        healed = json.loads(cache_path.read_text())["files"]
-        for relpath in ("src/repro/r2.py", "src/repro/r5.py",
-                        "src/repro/r6.py", "src/repro/core/r7.py",
-                        "src/repro/sim/dram.py"):
-            record = healed[relpath]
-            assert isinstance(record["digest"], str)
-            assert set(record["rules"]) == FILE_RULES
-            for docs in record["rules"].values():
-                assert isinstance(docs, list)
-                assert all(isinstance(d, dict) and "rule" in d for d in docs)
+        corrupted = {"src/repro/r2.py", "src/repro/r5.py", "src/repro/r6.py",
+                     "src/repro/core/r7.py", "src/repro/sim/dram.py"}
+        assert set(summarized) == corrupted
+        healed = json.loads(cache_path.read_text())["entries"]
+        for relpath in corrupted:
+            entry = healed[key[relpath]]
+            assert FileSummary.from_dict(entry).path == relpath
 
 
 class TestCacheRetention:
-    def test_linting_a_subset_keeps_the_rest(self, tree, checks):
+    def test_linting_a_subset_keeps_the_rest(self, tree, summarized):
         lint(tree)
         lint(tree)
         lint(tree, dirs=("src",), select=["R012", "R013"])
-        checks.clear()
+        summarized.clear()
         _, project = lint(tree)
         assert graph_module.graph_for_project(project).cache_misses == 0
-        assert checks == []
+        assert summarized == []
 
     def test_records_of_deleted_or_edited_files_are_dropped(self, tree):
         lint(tree)
@@ -272,9 +270,11 @@ class TestCacheRetention:
         (tree / "src/repro/r5.py").write_text("x = 1\n")
         lint(tree, dirs=("src/repro/sim",))
         doc = json.loads((tree / CACHE_RELPATH).read_text())
-        assert "tests/test_fixture.py" not in doc["files"]
-        assert "src/repro/r5.py" not in doc["files"]
-        assert "src/repro/r2.py" in doc["files"]
+        assert set(doc) == {"version", "analysis_versions", "entries"}
+        paths = {entry["path"] for entry in doc["entries"].values()}
+        assert "tests/test_fixture.py" not in paths
+        assert "src/repro/r5.py" not in paths
+        assert "src/repro/r2.py" in paths
         assert not any(key.startswith("tests.test_fixture:")
                        for key in doc["entries"])
 
@@ -299,3 +299,14 @@ class TestCacheRetention:
             graph = graph_module.graph_for_project(project)
             assert (graph.cache_hits, graph.cache_misses) == (4, 0)
             assert state() == before
+
+    def test_files_outside_the_module_roots_are_cached_by_path(
+        self, tmp_path, summarized
+    ):
+        loose = "from repro.exec import run_jobs\nr = run_jobs(lambda s: s, [1])\n"
+        write_tree(tmp_path, {"bench/a.py": loose, "bench/b.py": loose})
+        cold, _ = lint(tmp_path, dirs=("bench",))
+        assert [line.split(":")[0] for line in cold] == ["bench/a.py", "bench/b.py"]
+        summarized.clear()
+        assert lint(tmp_path, dirs=("bench",))[0] == cold
+        assert summarized == []

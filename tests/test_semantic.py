@@ -463,6 +463,19 @@ class TestRaceRule:
         )
         assert any("file write" in f.message for f in findings)
 
+    def test_path_object_writes_in_worker_trip(self, tmp_path):
+        for body in (
+            "    spec.open('w')\n",
+            "    Path(spec).write_text('x')\n",
+        ):
+            files = self._tree(body)
+            files["src/repro/exec/sweep.py"] = (
+                "from pathlib import Path\n" + files["src/repro/exec/sweep.py"]
+            )
+            findings = lint_tree(tmp_path, files, select=["R010"])
+            assert [f.line for f in findings] == [7], body
+            assert "file write" in findings[0].message
+
     def test_parent_side_mutation_is_fine(self, tmp_path):
         # Mutating a module global in the *parent* (sweep) is allowed.
         files = self._tree("    x = spec\n")

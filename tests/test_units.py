@@ -333,10 +333,19 @@ class TestUnitsGraphArtifact:
 
 class TestAnalysisVersionFingerprint:
     def test_versions_cover_every_semantic_analysis(self):
-        versions = analysis_versions()
-        for key in ("summary", "lifecycle", "races", "typedcore",
-                    "units", "clockdomains"):
-            assert key in versions
+        # One digest of every .py file under repro/devtools (and the
+        # Python minor version) keys the cache, so an edit to any
+        # analysis, the summary extractor or a rule invalidates it.
+        from repro.devtools.semantic import (
+            clockdomains, effects, graph, lifecycle, races, summary,
+            typedcore, units,
+        )
+
+        assert analysis_versions() == {"devtools": graph._devtools_digest()}
+        digested = Path(graph.__file__).resolve().parents[1]
+        for module in (clockdomains, effects, lifecycle, races, summary,
+                       typedcore, units):
+            assert Path(module.__file__).resolve().is_relative_to(digested)
 
     def test_bumping_an_analysis_version_discards_the_cache(self, tmp_path):
         path = tmp_path / "cache.json"
