@@ -160,12 +160,42 @@ def _looks_like_rng(receiver: str) -> bool:
     return leaf == "rng" or leaf.endswith("rng") or leaf == "random"
 
 
+#: Record-list fields and the keys every record of each carries (the
+#: rules read them as ``record[key]``); ``unordered_iters`` holds line
+#: numbers instead.
+_RECORD_KEYS: dict[str, frozenset[str]] = {
+    "import_stmts": frozenset({"line", "col", "modules"}),
+    "random_imports": frozenset({"name", "line"}),
+    "float_eqs": frozenset({"line", "col", "end_line", "end_col"}),
+    "pickled": frozenset({"line", "col", "call", "name"}),
+    "prints": frozenset({"line", "col"}),
+    "closures": frozenset({"line", "col", "kind"}),
+    "unslotted": frozenset({"line", "col", "name"}),
+    "untyped": frozenset({"line", "col", "qual", "missing", "returns"}),
+    "calls": frozenset({"name", "line", "arg_refs"}),
+    "mutations": frozenset({"target", "op", "method", "line"}),
+    "writes": frozenset({"line", "col", "kind"}),
+    "effects": frozenset({"kind", "source", "line"}),
+}
+
+
 def _fill(obj: Any, doc: dict[str, Any]) -> None:
     """Set ``obj``'s container fields from ``doc``, each copied into the
-    type of its default (``TypeError``/``ValueError`` if malformed)."""
+    type of its default (``TypeError``/``ValueError`` if malformed,
+    including a record that is not a dict with its :data:`_RECORD_KEYS`)."""
     for name, empty in vars(obj).items():
         if name in doc and isinstance(empty, (dict, list)):
-            setattr(obj, name, type(empty)(doc[name]))
+            value = type(empty)(doc[name])
+            if value:  # most lists are empty: they cost no lookup
+                keys = _RECORD_KEYS.get(name)
+                if keys is not None:
+                    for record in value:
+                        if type(record) is not dict or not record.keys() >= keys:
+                            raise ValueError(f"malformed {name} record")
+                elif name == "unordered_iters":
+                    if not all(type(line) is int for line in value):
+                        raise ValueError("malformed unordered_iters line")
+            setattr(obj, name, value)
 
 
 @dataclass

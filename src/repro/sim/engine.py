@@ -345,6 +345,18 @@ class EventQueue:
         self._cursor = cursor if cursor <= end_slot else end_slot
         self.now = t_end
 
+    def close(self) -> None:
+        """Drop the dispatch hook and every entry that never ran.
+
+        Those entries (events past the run's end) hold transactions and
+        callbacks that point back at the simulator.  ``len()`` still
+        counts them.
+        """
+        self.dispatch = None
+        for bucket in self._wheel:
+            bucket.clear()
+        self._overflow.clear()
+
 
 @dataclass
 class SimResult:
@@ -1322,7 +1334,7 @@ class Simulator:
             ch.busy_cycles - base
             for ch, base in zip(self.channels, self._busy_at_measurement)
         )
-        return SimResult(
+        result = SimResult(
             samples=samples,
             cycles=measured,
             tlp_timeline=list(self.tlp_timeline),
@@ -1331,6 +1343,37 @@ class Simulator:
             dram_utilization=busy / (measured * len(self.channels)),
             roster=list(self.tenancy.timeline),
         )
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Cut the back-references that make a simulator one big cycle.
+
+        The event queue's dispatch hook, the DRAM callbacks, each
+        channel's cached ``_decide`` and drain hook, warps and their
+        recurring transactions, the cores' fold records and the tenancy
+        manager all point back into the simulator, so without this a
+        dropped simulator waits for the cyclic GC.  Runs once, after
+        the last event.  Post-run readers keep what they read: stats,
+        caches, MSHR maps, deferred queues, pools, ``busy_cycles``, the
+        tenancy timeline, and ``len(self.events)``.
+        """
+        self.events.close()
+        self._dram_cb.clear()
+        self._dram_drain_cb.clear()
+        # Unset rather than None: the slots keep their callable types.
+        for req in self._req_pool:
+            del req.callback
+        for chan in self.channels:
+            del chan._decide_event
+            chan.on_dequeue = None
+            for req in chan.queue:
+                del req.callback
+        for core in self.cores:
+            core.fill_txn = core.tick_head = core.tick_tail = None
+            for warp in core.warps:
+                warp.compute_txn = warp.resp_txn = None
+        self.tenancy.release()
 
     def _tenancy_event(self, ev: TenancyEvent, now: Cycles) -> None:
         """Apply one scheduled roster change (the arrival-event handler)."""

@@ -27,12 +27,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+from weakref import proxy
 
+from repro.sim.stats import StatsCollector
 from repro.units import Cycles
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import EventQueue, Simulator
 
 __all__ = [
     "LatencyHistogram",
@@ -172,6 +174,30 @@ class OccupancyProbe:
         ]
 
 
+class _Every:
+    """Calls ``sample(now)`` every ``period`` cycles.
+
+    An object rather than a closure that pushes itself: that closure
+    would be a reference cycle holding the simulator, while this is
+    held only by its queued event, which a finished run drops.
+    """
+
+    __slots__ = ("events", "period", "sample")
+
+    def __init__(
+        self, events: "EventQueue", period: Cycles,
+        sample: Callable[[Cycles], None],
+    ) -> None:
+        self.events = events
+        self.period = period
+        self.sample = sample
+        events.push(period, self)
+
+    def __call__(self, now: Cycles) -> None:
+        self.sample(now)
+        self.events.push(now + self.period, self)
+
+
 def attach(
     sim: "Simulator",
     latency: LatencyHistogram | None = None,
@@ -182,14 +208,17 @@ def attach(
 
     The latency probe wraps the collector's request hook; the periodic
     probes self-reschedule on the event queue.  None of them changes
-    simulated timing.
+    simulated timing, and none leaves a reference cycle behind.
     """
     if latency is not None:
-        original = sim.collector.note_mem_request
+        # The wrapper is stored on the collector, so it reaches the
+        # collector through a weak proxy, not a reference cycle.
+        collector = proxy(sim.collector)
+        note = StatsCollector.note_mem_request
 
         def recording(app_id: int, lat: Cycles) -> None:
             latency.record(app_id, lat)
-            original(app_id, lat)
+            note(collector, app_id, lat)
 
         sim.collector.note_mem_request = recording  # type: ignore[method-assign]
 
@@ -199,9 +228,8 @@ def attach(
                 queues.samples.append(
                     (now, ch, channel.queue_depth, len(sim._dram_deferred[ch]))
                 )
-            sim.events.push(now + queues.period, sample_queues)
 
-        sim.events.push(queues.period, sample_queues)
+        _Every(sim.events, queues.period, sample_queues)
 
     if occupancy is not None:
         def sample_occupancy(now: Cycles) -> None:
@@ -210,6 +238,5 @@ def attach(
                 for app, lines in l2.occupancy_by_app().items():
                     merged[app] = merged.get(app, 0) + lines
             occupancy.samples.append((now, merged))
-            sim.events.push(now + occupancy.period, sample_occupancy)
 
-        sim.events.push(occupancy.period, sample_occupancy)
+        _Every(sim.events, occupancy.period, sample_occupancy)

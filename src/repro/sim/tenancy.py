@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 from repro.units import Cycles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.sim.core import Warp
     from repro.sim.engine import Simulator
     from repro.workloads.synthetic import AppProfile
 
@@ -95,7 +96,7 @@ class Tenancy:
     (empty for a closed-system run).
     """
 
-    __slots__ = ("sim", "live", "timeline")
+    __slots__ = ("sim", "live", "timeline", "_draining")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -104,6 +105,9 @@ class Tenancy:
         self.live: list[int] = list(range(len(sim.apps)))
         #: JSON-native roster-change records, in event order
         self.timeline: list[dict] = []
+        #: retired warps whose compute phase was still in flight, so
+        #: their ``resp_txn`` stays linked until :meth:`release`
+        self._draining: list["Warp"] = []
 
     # -- lifecycle --------------------------------------------------------
 
@@ -201,6 +205,9 @@ class Tenancy:
         the per-core same-instant fold state (fill coalescing and
         compute stride chains must never batch across applications),
         and is repopulated with fresh warp contexts for the new owner.
+        A retired warp is never restarted, so its ``compute_txn`` is
+        unlinked at once, and its ``resp_txn`` too unless a compute
+        phase in flight may still send a response through it.
         Returned app ids gained at least one core and need their TLP
         re-applied to activate the fresh warps.
         """
@@ -222,6 +229,11 @@ class Tenancy:
             changed.add(owner)
             for warp in core.warps:
                 warp.active = False
+                warp.compute_txn = None
+                if warp.parked or warp.pending:
+                    warp.resp_txn = None
+                else:
+                    self._draining.append(warp)
             core.warps = []
             core.app_id = owner
             core.fill_txn = None
@@ -232,6 +244,13 @@ class Tenancy:
         for app_id, cores in rosters.items():
             sim.cores_of_app[app_id] = cores
         return changed
+
+    def release(self) -> None:
+        """Unlink the finished simulator and the warps still draining."""
+        for warp in self._draining:
+            warp.resp_txn = None
+        self._draining.clear()
+        del self.sim
 
     def _record(
         self, event: str, app_id: int, profile: "AppProfile", now: Cycles

@@ -1,8 +1,9 @@
-"""Tests for scripts/bench_report.py baseline-provenance guarding.
+"""Tests for scripts/bench_report.py: exact event counts and
+baseline-provenance guarding.
 
-The benchmark itself is exercised by the CI smoke job; here we cover
-the ``--set-baseline`` refusal logic with a stubbed measurement so no
-simulation runs.
+The quick cases' event counts are pinned exactly (they are
+deterministic, unlike the wall times); the ``--set-baseline`` refusal
+logic is covered with a stubbed measurement so no simulation runs.
 """
 
 import importlib.util
@@ -131,3 +132,21 @@ class TestSetBaselineGuard:
         # first quick run seeds its own baseline; full untouched
         assert report["modes"]["quick"]["baseline"]["git"] == "abc1234"
         assert report["modes"]["full"]["baseline"]["git"] == "fullrev"
+
+
+class TestQuickEventCounts:
+    """The quick cases' events dispatched, pinned exactly.
+
+    Counted as the script counts them: scheduled minus still queued
+    after ``run()``.  They equal the quick ``current`` section of
+    BENCH_engine.json; a change meant to be bit-identical keeps them.
+    """
+
+    PINNED = {"alone": 10_002, "corun": 8_779, "pbs-dynamic": 6_752}
+
+    @pytest.mark.parametrize("case", bench_report.CASES)
+    def test_events_dispatched(self, case):
+        cycles = bench_report.LENGTHS["quick"][case]
+        sim, kwargs = bench_report._build(case, cycles)
+        sim.run(cycles, **kwargs)
+        assert sim.events._seq - len(sim.events) == self.PINNED[case]

@@ -1,10 +1,25 @@
 """Tests for repro.sim.engine: event queue, memory-path invariants,
 multi-application execution, determinism, and TLP actuation."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.config import small_config
-from repro.sim.engine import EventQueue, Simulator
+from repro.core.controller import StaticController
+from repro.core.runner import RunLengths
+from repro.exec.jobs import SimJob, run_sim_job
+from repro.experiments.common import ExperimentContext, ResultStore
+from repro.experiments.open_system import SCENARIOS, run_open_scenario
+from repro.sim.engine import EventQueue, MemTxn, Simulator
+from repro.sim.probes import (
+    LatencyHistogram,
+    OccupancyProbe,
+    QueueDepthProbe,
+    attach,
+)
+from repro.workloads.phases import PhasedProfile
 from repro.workloads.table4 import app_by_abbr
 
 from tests.conftest import run_small_pair
@@ -351,3 +366,146 @@ class TestRunOnce:
         sim.run(2000, warmup=500, initial_tlp={0: 4})
         with pytest.raises(RuntimeError, match="runs once"):
             sim.run(2000, warmup=500, initial_tlp={0: 4})
+
+
+def _garbage_after(run) -> int:
+    """Objects the cyclic GC finds once ``run()`` and its simulator are gone.
+
+    ``run`` builds, runs and drops its own simulator.  The collector is
+    switched off meanwhile, so anything a finished run leaves in a
+    reference cycle is still there for the final ``gc.collect()``.
+    """
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestRelease:
+    """A finished run frees itself by reference counting alone."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self, tmp_path_factory):
+        ctx = ExperimentContext(
+            config=small_config(),
+            lengths=RunLengths.quick(),
+            seed=5,
+            store=ResultStore(tmp_path_factory.mktemp("results")),
+            n_jobs=1,
+        )
+        ctx.alone_for([app_by_abbr("BLK"), app_by_abbr("TRD")])
+        return ctx
+
+    def test_fixed_tlp_job(self, small_cfg):
+        job = SimJob(
+            small_cfg, (app_by_abbr("BLK"), app_by_abbr("TRD")), (8, 4),
+            cycles=6000, warmup=1500, seed=5,
+        )
+        assert _garbage_after(lambda: run_sim_job(job)) == 0
+
+    @pytest.mark.parametrize(
+        "scheme", ["pbs-ws", "pbs-fi", "pbs-hs", "dyncta", "ccws", "modbypass"]
+    )
+    def test_controller_scheme(self, ctx, scheme):
+        apps = [app_by_abbr("BLK"), app_by_abbr("TRD")]
+        assert _garbage_after(lambda: ctx.scheme(apps, scheme)) == 0
+
+    @pytest.mark.parametrize("scenario", ["two-phase", "churn"])
+    def test_open_system_scenario(self, medium_cfg, tmp_path, scenario):
+        ctx = ExperimentContext(
+            config=medium_cfg,
+            lengths=RunLengths.quick(),
+            seed=1,
+            store=ResultStore(tmp_path),
+            n_jobs=1,
+        )
+
+        def run():
+            report = run_open_scenario(
+                ctx, SCENARIOS[scenario], cycles=20000, warmup=2000,
+                sample_period=500,
+            )
+            assert report.n_arrivals and report.n_departures
+
+        assert _garbage_after(run) == 0
+
+    def test_backlogged_run(self, small_cfg):
+        """Ends with parked misses, a full DRAM queue and parked L2 misses."""
+        cfg = small_cfg.with_(
+            l1=dataclasses.replace(small_cfg.l1, mshr_entries=2),
+            dram_queue_depth=4,
+            dram=dataclasses.replace(small_cfg.dram, t_ccd=200),
+        )
+
+        def run():
+            sim = Simulator(cfg, [app_by_abbr("GUPS"), app_by_abbr("BLK")], seed=3)
+            lines = [
+                a * cfg.line_bytes
+                for a in range(64)
+                if sim.addr_map.channel_of(a * cfg.line_bytes) == 0
+            ][:8]
+            for line in lines:
+                sim._to_dram(MemTxn(line=line, app_id=0, channel=0), 0.0)
+            sim.run(1000, warmup=250, initial_tlp={0: 24, 1: 24})
+            assert any(sim._l1_deferred)
+            assert sim.channels[0].is_full
+            assert sim._dram_deferred[0]
+            assert len(sim.events) > 0
+
+        assert _garbage_after(run) == 0
+
+    def test_event_past_the_wheel_horizon(self, small_cfg):
+        """A controller window due after the run waits in the overflow heap."""
+        controller = StaticController({0: 4}, sample_period=20_000)
+
+        def run():
+            sim = Simulator(
+                small_cfg, [app_by_abbr("BLK")], core_split=(1,),
+                controller=controller, seed=3,
+            )
+            sim.run(6000, warmup=1500)
+            assert sim.window_log == [] and len(sim.events) > 0
+
+        assert _garbage_after(run) == 0
+
+    def test_phased_pair(self, small_cfg):
+        phased = PhasedProfile(
+            "PH", (app_by_abbr("BLK"), app_by_abbr("GUPS")),
+            iterations_per_phase=20,
+        )
+
+        def run():
+            sim = Simulator(small_cfg, [phased, app_by_abbr("TRD")], seed=3)
+            sim.run(6000, warmup=1500, initial_tlp={0: 8, 1: 8})
+
+        assert _garbage_after(run) == 0
+
+    def test_probed_run(self, small_cfg):
+        def run():
+            sim = Simulator(
+                small_cfg, [app_by_abbr("BLK"), app_by_abbr("BFS")], seed=3
+            )
+            latency = LatencyHistogram()
+            attach(
+                sim, latency=latency, queues=QueueDepthProbe(period=500.0),
+                occupancy=OccupancyProbe(period=1000.0),
+            )
+            sim.run(8000, warmup=2000, initial_tlp={0: 8, 1: 8})
+            assert latency.count(0) == sim.collector.apps[0].mem_requests
+
+        assert _garbage_after(run) == 0
+
+    def test_post_run_state_stays_readable(self, small_cfg):
+        sim = Simulator(small_cfg, [app_by_abbr("GUPS")], core_split=(2,), seed=3)
+        result = sim.run(4000, warmup=1000, initial_tlp={0: 24})
+        left = sum(map(len, sim.events._wheel)) + len(sim.events._overflow)
+        assert left == 0 and len(sim.events) > 0
+        assert sim.collector.apps[0].insts > 0
+        assert sim.tenancy.live == [0] and sim.tenancy.timeline == []
+        assert sim.channels[0].busy_cycles > 0
+        assert result.dram_utilization > 0

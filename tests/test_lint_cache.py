@@ -254,6 +254,52 @@ class TestWarmPath:
             assert FileSummary.from_dict(entry).path == relpath
 
 
+#: Every record list of a cached summary: the file-level ones, then
+#: those of each function record (``unordered_iters`` holds lines).
+FILE_RECORD_LISTS = (
+    "import_stmts", "random_imports", "float_eqs", "pickled", "prints",
+    "closures", "unslotted", "untyped",
+)
+FUNCTION_RECORD_LISTS = (
+    "calls", "mutations", "writes", "effects", "unordered_iters",
+)
+
+
+class TestMalformedRecords:
+    """One bad record in a cached summary is a miss, never a crash.
+
+    ``src/repro/sim/dram.py`` is read by every rule that reads a record
+    list (sim layer, hot path, typed core, R004 provider), so a bad
+    record there reaches its reader unless the load rejects it.
+    """
+
+    TARGET = "src/repro/sim/dram.py"
+
+    @pytest.mark.parametrize("bad", [None, {}], ids=["not-a-dict", "no-keys"])
+    @pytest.mark.parametrize(
+        "field", FILE_RECORD_LISTS + FUNCTION_RECORD_LISTS
+    )
+    def test_bad_record_gives_the_uncached_findings(
+        self, tree, summarized, field, bad
+    ):
+        lint(tree)
+        cache_path = tree / CACHE_RELPATH
+        doc = json.loads(cache_path.read_text())
+        (entry,) = [e for e in doc["entries"].values()
+                    if e["path"] == self.TARGET]
+        owner = entry if field in FILE_RECORD_LISTS else entry["functions"]["decide"]
+        owner[field].append(bad)
+        cache_path.write_text(json.dumps(doc))
+        summarized.clear()
+
+        warm, _ = lint(tree)
+        assert summarized == [self.TARGET]
+        assert warm == lint(tree, semantic_cache=False)[0]
+        healed = json.loads(cache_path.read_text())["entries"]
+        (entry,) = [e for e in healed.values() if e["path"] == self.TARGET]
+        assert FileSummary.from_dict(entry).path == self.TARGET
+
+
 class TestCacheRetention:
     def test_linting_a_subset_keeps_the_rest(self, tree, summarized):
         lint(tree)
