@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Iterable, Sequence
@@ -155,71 +156,83 @@ def lint_paths(
     summarization (same findings).  ``_project_out`` receives the built
     :class:`ProjectContext`, so ``--graph`` reuses its memoized graph.
     """
-    # Imported here: ``repro.cli`` imports this module for every command,
-    # and the semantic package otherwise loads with the rules.
-    from repro.devtools.semantic.graph import analysis_cache_for, cache_key
+    # A batch builds parse trees and summaries that hold no reference
+    # cycles, so a collection in it would traverse them all and free
+    # nothing: the pass runs with the cyclic collector off and leaves
+    # it as it found it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # Imported here: ``repro.cli`` imports this module for every command,
+        # and the semantic package otherwise loads with the rules.
+        from repro.devtools.semantic.graph import analysis_cache_for, cache_key
 
-    path_objs = [Path(p) for p in paths]
-    if root is None:
-        root = find_root(path_objs[0] if path_objs else Path.cwd())
-    rules = all_rules(select)
+        path_objs = [Path(p) for p in paths]
+        if root is None:
+            root = find_root(path_objs[0] if path_objs else Path.cwd())
+        rules = all_rules(select)
 
-    project = ProjectContext(root=root)
-    if not semantic_cache:
-        project.semantic_cache_path = None  # type: ignore[attr-defined]
-    if jobs is not None:
-        project.semantic_jobs = jobs  # type: ignore[attr-defined]
-    if _project_out is not None:
-        _project_out.append(project)
-    cache = analysis_cache_for(project)
+        project = ProjectContext(root=root)
+        if not semantic_cache:
+            project.semantic_cache_path = None  # type: ignore[attr-defined]
+        if jobs is not None:
+            project.semantic_jobs = jobs  # type: ignore[attr-defined]
+        if _project_out is not None:
+            _project_out.append(project)
+        cache = analysis_cache_for(project)
 
-    findings: list[Finding] = []
-    digests: dict[str, str | None] = {}
-    for path in iter_python_files(path_objs):
-        path = path.resolve()
-        try:
-            relpath = str(path.relative_to(root))
-        except ValueError:
-            relpath = path.name
-        try:
-            ctx = FileContext(path=path, relpath=Path(relpath), source=path.read_text())
-            if cache is None or cache_key(ctx) not in cache:
-                # Not summarized yet: parse now, so an unparseable file
-                # is reported on every run and never reaches the rules.
-                ctx.tree
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            digests[relpath] = None
-            if changed is None or relpath in changed:
-                findings.append(Finding(
-                    rule="E999",
-                    severity=Severity.ERROR,
-                    path=relpath,
-                    line=getattr(exc, "lineno", None) or 1,
-                    col=(getattr(exc, "offset", None) or 1) - 1,
-                    message=f"cannot parse: {exc.__class__.__name__}: {exc}",
-                ))
-            continue
-        digests[relpath] = ctx.digest
-        project.files.append(ctx)
-    # Prune before the rules run: the graph build then saves the cache
-    # once, with its new summaries.
-    if cache is not None:
-        _prune(cache, root, digests)
-
-    contexts = {str(ctx.relpath): ctx for ctx in project.files}
-    for rule in rules:
-        for finding in rule.check_project(project):
-            if changed is not None and finding.path not in changed:
+        findings: list[Finding] = []
+        digests: dict[str, str | None] = {}
+        for path in iter_python_files(path_objs):
+            path = path.resolve()
+            try:
+                relpath = str(path.relative_to(root))
+            except ValueError:
+                relpath = path.name
+            try:
+                ctx = FileContext(
+                    path=path, relpath=Path(relpath), source=path.read_text()
+                )
+                if cache is None or cache_key(ctx) not in cache:
+                    # Not summarized yet: parse now, so an unparseable file
+                    # is reported on every run and never reaches the rules.
+                    ctx.tree
+            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+                digests[relpath] = None
+                if changed is None or relpath in changed:
+                    findings.append(Finding(
+                        rule="E999",
+                        severity=Severity.ERROR,
+                        path=relpath,
+                        line=getattr(exc, "lineno", None) or 1,
+                        col=(getattr(exc, "offset", None) or 1) - 1,
+                        message=f"cannot parse: {exc.__class__.__name__}: {exc}",
+                    ))
                 continue
-            owner = contexts.get(finding.path)
-            if owner is None:
-                findings.append(finding)
-            else:
-                findings.extend(filter_suppressed([finding], *owner.noqa_extents))
+            digests[relpath] = ctx.digest
+            project.files.append(ctx)
+        # Prune before the rules run: the graph build then saves the cache
+        # once, with its new summaries.
+        if cache is not None:
+            _prune(cache, root, digests)
 
-    if cache is not None:
-        cache.save()  # a no-op when nothing changed, or the graph saved
-    return sorted(findings, key=Finding.sort_key)
+        contexts = {str(ctx.relpath): ctx for ctx in project.files}
+        for rule in rules:
+            for finding in rule.check_project(project):
+                if changed is not None and finding.path not in changed:
+                    continue
+                owner = contexts.get(finding.path)
+                if owner is None:
+                    findings.append(finding)
+                else:
+                    findings.extend(filter_suppressed([finding], *owner.noqa_extents))
+
+        if cache is not None:
+            cache.save()  # a no-op when nothing changed, or the graph saved
+        return sorted(findings, key=Finding.sort_key)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _render_text(findings: list[Finding], n_files: int) -> str:

@@ -27,6 +27,7 @@ from pathlib import Path
 from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.summary import iter_statements
 
 __all__ = [
     "CacheSchemaRule",
@@ -52,7 +53,7 @@ _SERIALIZER_RELPATH = "src/repro/experiments/common.py"
 
 def _class_fields(tree: ast.Module, class_name: str) -> list[str] | None:
     """Annotated field names of a (dataclass-style) class body."""
-    for node in ast.walk(tree):
+    for node in iter_statements(tree):
         if isinstance(node, ast.ClassDef) and node.name == class_name:
             return [
                 stmt.target.id

@@ -37,6 +37,9 @@ __all__ = ["AnalysisCache", "content_digest", "summary_key", "CACHE_VERSION"]
 #: discarded wholesale rather than risking a mixed-schema read.
 CACHE_VERSION = 3
 
+#: ``json.dumps(obj, separators=(",", ":"))``, through the C encoder.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def content_digest(source: str) -> str:
     """SHA-256 of the file's source text (the cache key)."""
@@ -116,14 +119,16 @@ class AnalysisCache:
             self._dirty = True
 
     def save(self) -> None:
-        """Persist the cache (atomic replace; best-effort on failure)."""
+        """Persist the cache (atomic replace; best-effort on failure).
+
+        The file is ``json.dumps(doc, separators=(",", ":"))`` byte for
+        byte, written one entry at a time through the C encoder:
+        ``json.dump`` would stream the whole document through the
+        pure-Python one, and encoding it in one piece would hold all of
+        its text in memory at once.
+        """
         if self.path is None or not self._dirty:
             return
-        doc = {
-            "version": CACHE_VERSION,
-            "analysis_versions": self.versions,
-            "entries": self._entries,
-        }
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -131,7 +136,16 @@ class AnalysisCache:
             )
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(doc, fh, separators=(",", ":"))
+                    fh.write(
+                        f'{{"version":{_encode(CACHE_VERSION)},'
+                        f'"analysis_versions":{_encode(self.versions)},'
+                        '"entries":{'
+                    )
+                    sep = ""
+                    for key, entry in self._entries.items():
+                        fh.write(f"{sep}{_encode(key)}:{_encode(entry)}")
+                        sep = ","
+                    fh.write("}}")
                 os.replace(tmp, self.path)
             except BaseException:
                 try:

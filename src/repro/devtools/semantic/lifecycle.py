@@ -57,6 +57,7 @@ from typing import Any, Iterator
 from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.summary import iter_statements
 
 __all__ = ["EngineAnalysis", "analyze_engine", "LifecycleRule"]
 
@@ -630,7 +631,7 @@ def analyze_engine(tree: ast.Module) -> EngineAnalysis:
 
     # Classify warp-owned stages: constructor results stored straight
     # onto an owner attribute (`warp.compute_txn = MemTxn(STAGE, ...)`).
-    for node in ast.walk(tree):
+    for node in iter_statements(tree):
         if (
             isinstance(node, ast.Assign)
             and isinstance(node.value, ast.Call)
@@ -672,7 +673,7 @@ def analyze_engine(tree: ast.Module) -> EngineAnalysis:
     # marks X pooled: only pool-domain objects are re-staged in place).
     for _stage, _body, node in _iter_stage_branches(dispatch, index):
         analysis.handled.add(_stage)
-    for node in ast.walk(tree):
+    for node in iter_statements(tree):
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1

@@ -39,6 +39,8 @@ another file's summary.
 from __future__ import annotations
 
 import ast
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,6 +50,7 @@ __all__ = [
     "MODULE_UNIT",
     "PICKLING_CALLS",
     "extract_unit_sigs",
+    "iter_statements",
     "summarize_file",
 ]
 
@@ -310,6 +313,28 @@ class FileSummary:
             q: FunctionInfo.from_dict(f) for q, f in summary.functions.items()
         }
         return summary
+
+
+#: The fields through which statements nest: a statement, an ``except``
+#: handler or a ``case`` sits only in one of these lists, never inside
+#: an expression.
+_BLOCK_FIELDS = frozenset({"body", "handlers", "orelse", "finalbody", "cases"})
+
+
+def iter_statements(tree: ast.Module | ast.stmt) -> Iterator[ast.AST]:
+    """The nodes of ``tree`` that are ``ast.mod``, ``ast.stmt``,
+    ``ast.excepthandler`` or ``ast.match_case``, in :func:`ast.walk`'s
+    breadth-first order, without visiting a single expression (most of
+    a tree's nodes), so a scan that looks for statements walks only
+    statements.
+    """
+    todo: deque[ast.AST] = deque([tree])
+    while todo:
+        node = todo.popleft()
+        for name in node._fields:
+            if name in _BLOCK_FIELDS:
+                todo.extend(getattr(node, name))
+        yield node
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -964,7 +989,7 @@ def extract_unit_sigs(tree: ast.Module) -> dict[str, Any]:
                     sig = _sig_of(sub)
                     if sig:
                         functions[f"{stmt.name}.{sub.name}"] = sig
-                    for inner in ast.walk(sub):
+                    for inner in iter_statements(sub):
                         if (
                             isinstance(inner, ast.AnnAssign)
                             and isinstance(inner.target, ast.Attribute)
@@ -1008,7 +1033,7 @@ def summarize_file(module: str | None, path: str, tree: ast.Module) -> FileSumma
         n.name for n in tree.body if isinstance(n, ast.ClassDef)
     })
 
-    for node in ast.walk(tree):
+    for node in iter_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

@@ -8,19 +8,29 @@ need.  The fixture makes every single-file rule fire once, next to a
 ``# repro: noqa`` twin it must keep suppressed, and adds an unparseable
 file and whole-program findings (one suppressed over a multi-line
 statement).
+
+A pass runs without the cyclic collector, writes the cache through the
+C encoder one entry at a time, and scans for statements without walking
+expressions; the last three classes pin each of those to its reference.
 """
 
 from __future__ import annotations
 
+import ast
+import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.devtools import lint_paths
 from repro.devtools.semantic import graph as graph_module
-from repro.devtools.semantic.summary import FileSummary
+from repro.devtools.semantic.cache import CACHE_VERSION, AnalysisCache
+from repro.devtools.semantic.lifecycle import LifecycleRule
+from repro.devtools.semantic.summary import FileSummary, iter_statements
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 CACHE_RELPATH = Path(".lint-cache") / "semantic.json"
 
 #: One file per file rule, each finding next to its suppressed twin.
@@ -356,3 +366,182 @@ class TestCacheRetention:
         summarized.clear()
         assert lint(tmp_path, dirs=("bench",))[0] == cold
         assert summarized == []
+
+
+@pytest.fixture
+def collector():
+    """The collector on for the test, and as it was found afterwards."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def in_lint_paths() -> bool:
+    """Is a ``lint_paths`` frame on the current stack?"""
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is lint_paths.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+class TestCollectorPause:
+    """A pass runs no cyclic collection and leaves the collector as it
+    found it."""
+
+    def test_no_collection_starts_inside_a_pass(self, tree, collector):
+        inside: list[int] = []
+
+        def hook(phase: str, info: dict) -> None:
+            if phase == "start" and in_lint_paths():
+                inside.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            lint(tree)  # cold
+            lint(tree)  # warm
+        finally:
+            gc.callbacks.remove(hook)
+        assert inside == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_collector_is_left_as_found(self, tree, collector, enabled):
+        if not enabled:
+            gc.disable()
+        lint(tree)
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_comes_back_when_a_rule_raises(
+        self, tree, collector, monkeypatch
+    ):
+        def fail(self, project):
+            raise RuntimeError("rule failed")
+
+        monkeypatch.setattr(LifecycleRule, "check_project", fail)
+        with pytest.raises(RuntimeError, match="rule failed"):
+            lint(tree)
+        assert gc.isenabled()
+
+
+#: Keys and entries that exercise every escape of the JSON encoder.
+ESCAPED_ENTRIES = {
+    'repro.q"uote:ab': {"path": 'src/"q".py', "text": "back\\slash\\"},
+    "repro.caf\u00e9:\u2603": {"s": "caf\u00e9 \U0001f600", "t": ["\u2028"]},
+    "ctl\x00\x1f\t\n\r\x7f": {"c": "\x00\x01\b\f\n\r\t\x1f\x7f", "n": [1, None]},
+}
+
+
+class TestCacheWrite:
+    """The entry-by-entry write is ``json.dumps(doc, separators=(",",
+    ":"))``, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "entries", [{}, ESCAPED_ENTRIES], ids=["empty", "escapes"]
+    )
+    def test_file_is_the_compact_document(self, tmp_path, entries):
+        path = tmp_path / "semantic.json"
+        versions = {"devtools": 'd\u00e9v"\\'}
+        cache = AnalysisCache(path, versions=versions)
+        cache.put("stale", {})
+        cache.prune(set())  # dirty, and empty
+        for key, entry in entries.items():
+            cache.put(key, entry)
+        cache.save()
+
+        doc = {"version": CACHE_VERSION, "analysis_versions": versions,
+               "entries": entries}
+        assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode()
+        assert AnalysisCache(path, versions=versions).items() == list(entries.items())
+
+
+STATEMENT_KINDS = (ast.mod, ast.stmt, ast.excepthandler, ast.match_case)
+
+#: Every block a statement can sit in, nested in every other kind.
+EVERY_BLOCK = """
+import os
+class C(Base):
+    x: int = 1
+    def m(self):
+        self.y: int = 2
+        if a:
+            pass
+        elif b:
+            pass
+        else:
+            pass
+        for i in j:
+            continue
+        else:
+            pass
+        while k:
+            break
+        else:
+            pass
+        try:
+            pass
+        except E as e:
+            pass
+        except F:
+            pass
+        else:
+            pass
+        finally:
+            pass
+        with a as b, c:
+            pass
+        match v:
+            case [1, *rest] if rest:
+                pass
+            case {"k": D(x=1)}:
+                pass
+            case _:
+                pass
+    async def n(self):
+        async for i in j:
+            pass
+        else:
+            pass
+        async with a:
+            pass
+def f():
+    def g():
+        return lambda: [x for x in y]
+    return g
+""" + ("""
+try:
+    pass
+except* G:
+    pass
+""" if sys.version_info >= (3, 11) else "")
+
+
+def statements_by_walk(tree: ast.AST) -> list[ast.AST]:
+    """The reference: ``ast.walk``'s nodes that are statements."""
+    return [node for node in ast.walk(tree) if isinstance(node, STATEMENT_KINDS)]
+
+
+class TestIterStatements:
+    """``iter_statements`` is ``ast.walk`` filtered to statements: the
+    same nodes, in the same order."""
+
+    def test_every_block_kind(self):
+        tree = ast.parse(EVERY_BLOCK)
+        assert list(iter_statements(tree)) == statements_by_walk(tree)
+        kinds = {type(node) for node in iter_statements(tree)}
+        assert {ast.ExceptHandler, ast.match_case, ast.AsyncFor,
+                ast.AsyncWith, ast.While, ast.Try} <= kinds
+        for node in iter_statements(tree):  # subtrees, as for methods
+            assert list(iter_statements(node)) == statements_by_walk(node)
+
+    def test_matches_ast_walk_on_the_repository(self):
+        files = [path for top in ("src", "tests", "scripts")
+                 for path in sorted((REPO_ROOT / top).rglob("*.py"))]
+        assert len(files) > 100
+        for path in files:
+            tree = ast.parse(path.read_text())
+            assert list(iter_statements(tree)) == statements_by_walk(tree), path
