@@ -40,10 +40,6 @@ Commands
     Follow the live dashboard of a running (or finished) traced sweep
     by tailing its ``events.ndjson`` stream.
 
-``bench history``
-    Render the engine benchmark trend from ``results/bench_history.jsonl``
-    against the committed ``BENCH_engine.json`` baseline.
-
 All simulation commands accept ``--config {paper,medium,small}``, ``--quick``
 (short test-scale runs), ``--seed N`` and ``--jobs N`` (parallel
 simulation workers; default ``$REPRO_JOBS``, else all cores) — before
@@ -75,11 +71,6 @@ from repro.experiments.common import CACHE_FORMAT, ExperimentContext
 from repro.experiments.open_system import SCENARIOS, run_open_scenario
 from repro.experiments.report import render_table
 from repro.experiments.table4 import run_table4
-from repro.obs.bench import (
-    load_bench_baseline,
-    load_bench_history,
-    render_bench_history,
-)
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.dashboard import Dashboard
 from repro.obs.dashboard import watch as watch_live
@@ -243,28 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="stop following after S seconds (default: wait for the end)",
-    )
-
-    # bench inspects the engine perf-history ledger.
-    p_bench = sub.add_parser("bench", help="inspect engine benchmarks")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_history = bench_sub.add_parser(
-        "history", help="render the bench trend vs the committed baseline"
-    )
-    p_history.add_argument(
-        "--history", default="results/bench_history.jsonl", metavar="PATH",
-        help="ledger appended by scripts/bench_report.py",
-    )
-    p_history.add_argument(
-        "--baseline", default="BENCH_engine.json", metavar="PATH",
-        help="committed baseline to diff against",
-    )
-    p_history.add_argument(
-        "--mode", default=None, help="restrict to one bench mode"
-    )
-    p_history.add_argument(
-        "--last", type=int, default=10, metavar="N",
-        help="show the most recent N runs per mode (default: 10)",
     )
     return parser
 
@@ -481,24 +450,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0 if state.ended or args.no_follow else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    history_path = Path(args.history)
-    if not history_path.is_file():
-        raise FileNotFoundError(
-            f"no bench history at {history_path} "
-            "(scripts/bench_report.py appends to it)"
-        )
-    records = load_bench_history(history_path)
-    baseline = load_bench_baseline(Path(args.baseline))
-    print(
-        render_bench_history(
-            records, baseline=baseline, mode=args.mode, last=args.last
-        ),
-        end="",
-    )
-    return 0
-
-
 _COMMANDS = {
     "profile": _cmd_profile,
     "run": _cmd_run,
@@ -509,7 +460,6 @@ _COMMANDS = {
     "lint": lint_run,
     "trace": _cmd_trace,
     "watch": _cmd_watch,
-    "bench": _cmd_bench,
 }
 
 

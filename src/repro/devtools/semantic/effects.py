@@ -141,7 +141,6 @@ TELEMETRY_BOUNDARY = frozenset({
     "repro.obs.live",       # span timing, record timestamps, heartbeats
     "repro.obs.dashboard",  # render clock
     "repro.obs.chrome",     # trace-viewer timestamps
-    "repro.obs.bench",      # benchmark timing
     "repro.obs.io",         # uuid-named temp files (atomic replace)
 })
 

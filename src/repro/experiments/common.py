@@ -172,13 +172,24 @@ class ResultStore:
         return self.root / f"{kind}-{key}.json"
 
     def load(self, kind: str, key: str) -> dict | None:
+        """The entry saved under ``kind``/``key``, or None on a miss.
+
+        An entry that does not decode (a truncated or corrupted file) is
+        a miss too: the caller recomputes it, and the atomic save
+        replaces the bad file.
+        """
         path = self._path(kind, key)
-        if not path.exists():
-            get_metrics().inc(f"cache.{kind}.miss")
-            return None
-        get_metrics().inc(f"cache.{kind}.hit")
-        with path.open() as fh:
-            return json.load(fh)
+        if path.exists():
+            try:
+                with path.open() as fh:
+                    data = json.load(fh)
+            except ValueError:  # JSONDecodeError, UnicodeDecodeError
+                pass
+            else:
+                get_metrics().inc(f"cache.{kind}.hit")
+                return data
+        get_metrics().inc(f"cache.{kind}.miss")
+        return None
 
     def save(self, kind: str, key: str, data: dict) -> None:
         get_metrics().inc(f"cache.{kind}.save")

@@ -17,19 +17,12 @@ folds sit *above* it (they consume its outputs), so R004 forbids
 * :mod:`repro.obs.summarize` — fold: offline ``repro trace summarize``.
 * :mod:`repro.obs.dashboard` — fold: live TTY dashboard / ``repro watch``.
 * :mod:`repro.obs.manifest` — per-run provenance manifests.
-* :mod:`repro.obs.bench` — perf-history ledger for ``bench history``.
 * :mod:`repro.obs.io` — atomic file publication and JSONL reading.
 """
 
-from repro.obs.bench import (
-    append_bench_history,
-    load_bench_baseline,
-    load_bench_history,
-    render_bench_history,
-)
 from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
-from repro.obs.io import JsonlAppender, append_jsonl, atomic_write_text, read_jsonl
+from repro.obs.io import JsonlAppender, atomic_write_text, read_jsonl
 from repro.obs.live import (
     LIVE_SCHEMA,
     LIVE_SCHEMA_VERSION,
@@ -80,8 +73,6 @@ __all__ = [
     "REQUIRED_FIELDS",
     "RunManifest",
     "STREAM_FILENAME",
-    "append_bench_history",
-    "append_jsonl",
     "atomic_write_text",
     "chrome_trace",
     "config_fingerprint",
@@ -91,13 +82,10 @@ __all__ = [
     "git_revision",
     "job_stats",
     "live_header",
-    "load_bench_baseline",
-    "load_bench_history",
     "load_live",
     "parse_live",
     "profile_frames",
     "read_jsonl",
-    "render_bench_history",
     "render_lines",
     "resolve_trace_path",
     "result_records",

@@ -15,7 +15,7 @@ import os
 import uuid
 from pathlib import Path
 
-__all__ = ["JsonlAppender", "append_jsonl", "atomic_write_text", "read_jsonl"]
+__all__ = ["JsonlAppender", "atomic_write_text", "read_jsonl"]
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -38,15 +38,15 @@ def atomic_write_text(path: Path, text: str) -> None:
 class JsonlAppender:
     """A single-writer, line-at-a-time JSONL sink.
 
-    Streaming sinks (the live NDJSON telemetry feed, the bench-history
-    ledger) cannot use :func:`atomic_write_text` — their value is that a
-    reader can tail the file *while* it grows.  The safety story is
-    different but equally deliberate: exactly one process (and in it,
-    one thread) owns the handle, every record is written as one
-    ``write()`` of a complete line and flushed, so a concurrent reader
-    observes only whole lines (plus at most one partial trailing line,
-    which tail-followers must re-read — :func:`iter_complete_lines`-style
-    consumers in :mod:`repro.obs.dashboard` do).
+    A streaming sink (the live NDJSON telemetry feed) cannot use
+    :func:`atomic_write_text` — its value is that a reader can tail the
+    file *while* it grows.  The safety story is different but equally
+    deliberate: exactly one process (and in it, one thread) owns the
+    handle, every record is written as one ``write()`` of a complete
+    line and flushed, so a concurrent reader observes only whole lines
+    (plus at most one partial trailing line, which tail-followers must
+    re-read — :func:`iter_complete_lines`-style consumers in
+    :mod:`repro.obs.dashboard` do).
 
     This class lives here, next to :func:`atomic_write_text`, so the
     lint rules' write-ownership story stays in one sanctioned module.
@@ -56,13 +56,11 @@ class JsonlAppender:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a", encoding="utf-8")
-        self.count = 0
 
     def append(self, record: dict) -> None:
         """Write one record as a complete, flushed JSON line."""
         self._fh.write(json.dumps(record) + "\n")
         self._fh.flush()
-        self.count += 1
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -73,12 +71,6 @@ class JsonlAppender:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def append_jsonl(path: Path, record: dict) -> None:
-    """Append one record to a JSONL ledger (open-append-flush-close)."""
-    with JsonlAppender(path) as sink:
-        sink.append(record)
 
 
 def read_jsonl(path: Path) -> list[dict]:

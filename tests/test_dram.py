@@ -164,6 +164,22 @@ class TestStatsAndUtilization:
         h.run()
         assert h.channel.queue_depth == 0
 
+    def test_dequeue_hook_refills_a_bounded_queue(self):
+        """Fed from ``on_dequeue``, a full queue completes every request."""
+        h = Harness(small_config().with_(dram_queue_depth=4))
+        pending = iter([h.request(bank=i % 4, row=i % 8, tag=i) for i in range(64)])
+        for _ in range(4):
+            h.channel.enqueue(next(pending), now=0.0)
+
+        def refill(now):
+            req = next(pending, None)
+            if req is not None:
+                h.channel.enqueue(req, now)
+
+        h.channel.on_dequeue = refill
+        h.run()
+        assert sorted(tag for tag, _, _ in h.done) == list(range(64))
+
 
 class TestScanWindow:
     def test_row_hit_beyond_window_is_not_seen(self):

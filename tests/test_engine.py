@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import small_config
 from repro.core.controller import StaticController
+from repro.core.pbs import PBSController
 from repro.core.runner import RunLengths
 from repro.exec.jobs import SimJob, run_sim_job
 from repro.experiments.common import ExperimentContext, ResultStore
@@ -210,6 +211,11 @@ class TestRunInvariants:
         result = run_small_pair(small_cfg, "BLK", "BLK")
         assert result.samples[0].insts > 0
         assert result.samples[1].insts > 0
+
+    def test_transaction_free_list_recycles(self, small_cfg):
+        sim = Simulator(small_cfg, [app_by_abbr("BFS"), app_by_abbr("GUPS")], seed=9)
+        sim.run(6000, warmup=1000, initial_tlp={0: 16, 1: 16})
+        assert len(sim._txn_pool) > 0, "transaction pool never recycled"
 
 
 class TestWindowConservation:
@@ -509,3 +515,46 @@ class TestRelease:
         assert sim.tenancy.live == [0] and sim.tenancy.timeline == []
         assert sim.channels[0].busy_cycles > 0
         assert result.dram_utilization > 0
+
+
+class TestEventCounts:
+    """Events dispatched by three fixed runs, pinned exactly.
+
+    Counted as scheduled minus still queued after ``run()``.  Event
+    counts are seed-determined, so they hold on any host: a change
+    meant to be bit-identical keeps them, and an event fold shows up
+    here as an exact drop.
+    """
+
+    #: case -> (simulated cycles, events dispatched)
+    PINNED = {
+        "alone": (30_000, 10_002),
+        "corun": (30_000, 8_779),
+        "pbs-dynamic": (40_000, 6_752),
+    }
+
+    @staticmethod
+    def _build(case: str, cycles: int):
+        """(simulator, run kwargs) for one case."""
+        cfg = small_config()
+        if case == "alone":
+            sim = Simulator(cfg, [app_by_abbr("BLK")], seed=7)
+            initial = {0: 8}
+        elif case == "corun":
+            sim = Simulator(cfg, [app_by_abbr("BLK"), app_by_abbr("TRD")], seed=7)
+            initial = {0: 8, 1: 8}
+        else:
+            controller = PBSController("ws", n_apps=2, sample_period=800)
+            sim = Simulator(
+                cfg, [app_by_abbr("BFS"), app_by_abbr("BLK")],
+                controller=controller, seed=9,
+            )
+            initial = {0: 24, 1: 24}
+        return sim, {"warmup": cycles // 10, "initial_tlp": initial}
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_events_dispatched(self, case):
+        cycles, events = self.PINNED[case]
+        sim, kwargs = self._build(case, cycles)
+        sim.run(cycles, **kwargs)
+        assert sim.events._seq - len(sim.events) == events

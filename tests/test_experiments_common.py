@@ -1,5 +1,7 @@
 """Tests for repro.experiments.common: the disk-cached context."""
 
+import json
+
 import pytest
 
 from repro.config import TLP_LEVELS, small_config
@@ -31,6 +33,24 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.save("a", "k", {"v": 1})
         assert store.load("b", "k") is None
+
+    def test_undecodable_entries_are_recomputed(self, tmp_path):
+        apps = [app_by_abbr("BLK"), app_by_abbr("TRD")]
+
+        def run():
+            ctx = ExperimentContext(
+                small_config(), RunLengths.quick(), seed=5,
+                store=ResultStore(tmp_path), n_jobs=1,
+            )
+            return ctx.alone(apps[1]), ctx.surface(apps), ctx.scheme(apps, "besttlp")
+
+        uncached = run()
+        for kind in ("alone", "surface", "scheme"):
+            path = sorted(tmp_path.glob(f"{kind}-*.json"))[0]
+            path.write_text(path.read_text()[:99])
+        assert run() == uncached
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text())  # the bad entries were replaced
 
 
 class TestAloneCaching:

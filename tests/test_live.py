@@ -4,10 +4,10 @@ Covers the stream schema, the publisher discipline (NullPublisher is
 one attribute read; QueuePublisher never blocks), the parent-side
 LiveHub collector (NDJSON sink, metrics folding), the dashboard state
 machine and its TTY/non-TTY renderers, the watch file tailer, the
-bench-history ledger, the profiled-run Chrome routing, the one-stream
-property (the Chrome export, the summary and the dashboard agree on one
-recording), and the invariant everything hangs on: telemetry on or off,
-simulation results are identical.
+profiled-run Chrome routing, the one-stream property (the Chrome
+export, the summary and the dashboard agree on one recording), and the
+invariant everything hangs on: telemetry on or off, simulation results
+are identical.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from repro.obs import (
     chrome_trace,
     set_metrics,
     summary_data,
-)
-from repro.obs.bench import (
-    BENCH_HISTORY_SCHEMA,
-    append_bench_history,
-    load_bench_baseline,
-    load_bench_history,
-    render_bench_history,
 )
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
 from repro.obs.io import JsonlAppender
@@ -517,77 +510,6 @@ class TestWatch:
         assert state.done == 1 and not state.ended
 
 
-# --- bench history ------------------------------------------------------------
-
-
-def _bench_record(mode: str = "quick", rate: float = 1000.0) -> dict:
-    return {
-        "recorded_at": "2026-08-08T00:00:00+00:00",
-        "mode": mode,
-        "cases": {
-            "alone": {"cycles_per_sec": rate, "events_per_sec": 2 * rate},
-            "corun": {"cycles_per_sec": rate, "events_per_sec": 2 * rate},
-        },
-    }
-
-
-class TestBenchHistory:
-    def test_append_stamps_schema_and_round_trips(self, tmp_path):
-        path = tmp_path / "bench_history.jsonl"
-        append_bench_history(path, _bench_record())
-        append_bench_history(path, _bench_record("full", 5000.0))
-        records = load_bench_history(path)
-        assert len(records) == 2
-        assert all(r["schema"] == BENCH_HISTORY_SCHEMA for r in records)
-        assert records[1]["mode"] == "full"
-
-    def test_append_rejects_incomplete_records(self, tmp_path):
-        record = _bench_record()
-        del record["cases"]
-        with pytest.raises(ValueError, match="missing 'cases'"):
-            append_bench_history(tmp_path / "h.jsonl", record)
-        assert not (tmp_path / "h.jsonl").exists()
-
-    def test_load_rejects_foreign_and_stale_lines(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"schema": "other", "version": 1}\n')
-        with pytest.raises(ValueError, match="record 1: schema"):
-            load_bench_history(path)
-        path.write_text(
-            json.dumps({"schema": BENCH_HISTORY_SCHEMA, "version": 99}) + "\n"
-        )
-        with pytest.raises(ValueError, match="version 99"):
-            load_bench_history(path)
-
-    def test_render_shows_trend_and_baseline_delta(self):
-        records = [
-            _bench_record(rate=1000.0),
-            _bench_record(rate=1100.0),
-        ]
-        baseline = {"modes": {"quick": {"baseline": _bench_record()}}}
-        out = render_bench_history(records, baseline=baseline)
-        assert "== bench history: quick ==" in out
-        assert "+10.0%" in out  # second run vs first, and vs baseline
-        no_base = render_bench_history(records)
-        assert "n/a" in no_base
-
-    def test_render_filters_mode_and_truncates(self):
-        records = [_bench_record(rate=1000.0 + i) for i in range(5)]
-        records.append(_bench_record("full", 9000.0))
-        out = render_bench_history(records, mode="quick", last=2)
-        assert "full" not in out
-        assert "... 3 earlier runs" in out
-        assert render_bench_history([], mode="quick").startswith(
-            "no bench history"
-        )
-
-    def test_baseline_loader_tolerates_absence(self, tmp_path):
-        assert load_bench_baseline(tmp_path / "missing.json") is None
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text('{"modes": {}}')
-        assert load_bench_baseline(path) == {"modes": {}}
-
-
 # --- chrome routing -----------------------------------------------------------
 
 
@@ -822,27 +744,6 @@ class TestCLILive:
 
         assert main(["watch", "nope", "--trace-dir", str(tmp_path)]) == 2
         assert STREAM_FILENAME in capsys.readouterr().err
-
-    def test_bench_history_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        ledger = tmp_path / "bench_history.jsonl"
-        append_bench_history(ledger, _bench_record())
-        code = main([
-            "bench", "history", "--history", str(ledger),
-            "--baseline", str(tmp_path / "missing.json"),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "== bench history: quick ==" in out
-
-    def test_bench_history_missing_ledger_exits_2(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench", "history", "--history", str(tmp_path / "none.jsonl"),
-        ]) == 2
-        assert "no bench history" in capsys.readouterr().err
 
 
 # --- one stream, three folds --------------------------------------------------
