@@ -12,11 +12,9 @@ import json
 import os
 import time
 
-from benchmarks.conftest import emit
 from repro.config import medium_config
 from repro.core.runner import RunLengths, profile_surface
 from repro.experiments.common import _result_to_dict
-from repro.experiments.report import render_table
 from repro.workloads.table4 import app_by_abbr
 
 SEED = 1
@@ -24,7 +22,7 @@ LEVELS = (1, 4, 8, 24)  # 16 combinations: enough work to amortize forking
 N_JOBS = 4
 
 
-def test_parallel_surface_speedup(benchmark, report_dir):
+def test_parallel_surface_speedup():
     cfg = medium_config()
     apps = [app_by_abbr("BLK"), app_by_abbr("TRD")]
     lengths = RunLengths()
@@ -36,12 +34,8 @@ def test_parallel_surface_speedup(benchmark, report_dir):
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = benchmark.pedantic(
-        profile_surface,
-        args=(cfg, apps),
-        kwargs=dict(lengths=lengths, seed=SEED, levels=LEVELS, n_jobs=N_JOBS),
-        rounds=1,
-        iterations=1,
+    parallel = profile_surface(
+        cfg, apps, lengths=lengths, seed=SEED, levels=LEVELS, n_jobs=N_JOBS
     )
     t_parallel = time.perf_counter() - t0
 
@@ -54,22 +48,8 @@ def test_parallel_surface_speedup(benchmark, report_dir):
 
     speedup = t_serial / t_parallel if t_parallel > 0 else float("inf")
     cores = os.cpu_count() or 1
-    emit(
-        report_dir,
-        "parallel_speedup",
-        render_table(
-            ("metric", "value"),
-            [
-                ("combinations", len(serial)),
-                ("cores available", cores),
-                ("workers", N_JOBS),
-                ("serial wall-clock (s)", round(t_serial, 2)),
-                (f"parallel wall-clock (s, {N_JOBS} jobs)", round(t_parallel, 2)),
-                ("speedup", round(speedup, 2)),
-            ],
-            title="Parallel sweep executor: serial vs process-pool surface",
-        ),
-    )
+    print(f"{len(serial)} combinations on {cores} cores: serial {t_serial:.2f}s, "
+          f"{N_JOBS} workers {t_parallel:.2f}s, speedup {speedup:.2f}x")
 
     if cores >= 4:
         assert speedup >= 2.0, (

@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentContext
 from repro.experiments.report import geomean, render_table
 from repro.workloads.generator import EVALUATED_PAIRS, REPRESENTATIVE_PAIRS
 
-__all__ = ["SchemeComparison", "run_fig9", "run_fig10", "run_hs", "run_comparison"]
+__all__ = ["SchemeComparison", "run_fig9", "run_fig10", "run_comparison"]
 
 #: schemes reported in Figure 9 (WS flavours)
 WS_SCHEMES = (
@@ -95,7 +95,3 @@ def run_fig9(ctx: ExperimentContext, pairs=EVALUATED_PAIRS) -> SchemeComparison:
 
 def run_fig10(ctx: ExperimentContext, pairs=EVALUATED_PAIRS) -> SchemeComparison:
     return run_comparison(ctx, "fi", FI_SCHEMES, pairs)
-
-
-def run_hs(ctx: ExperimentContext, pairs=EVALUATED_PAIRS) -> SchemeComparison:
-    return run_comparison(ctx, "hs", HS_SCHEMES, pairs)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.core.runner import evaluate_scheme, profile_alone
 from repro.experiments.common import ExperimentContext
 from repro.experiments.report import render_table
+from repro.sim import split_cores
 from repro.workloads.table4 import app_by_abbr
 
 __all__ = [
@@ -50,15 +51,16 @@ def run_three_apps(
     schemes=("besttlp", "maxtlp", "pbs-ws", "pbs-fi"),
 ) -> ThreeAppResult:
     apps = [app_by_abbr(n) for n in names]
-    per_app = ctx.config.n_cores // len(apps)
-    if per_app < 1:
+    if ctx.config.n_cores < len(apps):
         raise ValueError(
             f"{ctx.config.n_cores} cores cannot host {len(apps)} applications"
         )
-    split = tuple(per_app for _ in apps)
+    # Every core is used (8 cores over 3 apps is 3+3+2), and each
+    # application's alone baseline runs on its own share.
+    split = split_cores(ctx.config.n_cores, len(apps))
     alone = [
-        profile_alone(ctx.config, a, per_app, lengths=ctx.lengths, seed=ctx.seed)
-        for a in apps
+        profile_alone(ctx.config, a, n, lengths=ctx.lengths, seed=ctx.seed)
+        for a, n in zip(apps, split)
     ]
     ws, fi = {}, {}
     for scheme in schemes:

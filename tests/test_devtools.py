@@ -914,12 +914,13 @@ class TestRealTreeMutations:
         line = next(i for i, text in enumerate(lines, 1) if "lambda j:" in text)
         assert found == [("R005", relpath, line)]
 
-    def test_r006_raw_write_in_make_reports_trips(self, tmp_path):
-        relpath = "scripts/make_reports.py"
-        raw = '        (OUT / f"{name}.txt").write_text(text + "\\n")'
+    def test_r006_raw_write_in_eval_reports_trips(self, tmp_path):
+        relpath = "src/repro/experiments/eval.py"
+        raw = '            ((out_dir or REPORTS_DIR) / f"{name}.txt").write_text(text + "\\n")'
         found, lines = self._lint(
             tmp_path, relpath,
-            '        atomic_write_text(OUT / f"{name}.txt", text + "\\n")\n',
+            '            atomic_write_text((out_dir or REPORTS_DIR) / f"{name}.txt", '
+            'text + "\\n")\n',
             raw + "\n", "R006",
         )
         assert found == [("R006", relpath, self._line_of(lines, raw))]

@@ -3,7 +3,7 @@
 Full example runs take minutes (they use the experiment-scale GPU), so
 this module compiles every example and executes the cheapest one end to
 end; the heavyweight ones are exercised through the same library calls
-by the benchmark suite.
+by ``repro eval``.
 """
 
 import py_compile

@@ -2,8 +2,8 @@
 
 Each driver runs on the tiny test GPU with a temporary cache and must
 produce structurally sound results and render without error.  The
-paper-shape assertions live in the benchmark suite, which uses the
-full-scale configuration.
+paper-shape claims are ``repro eval``'s (repro.experiments.eval), on
+the campaign's configuration.
 """
 
 import pytest

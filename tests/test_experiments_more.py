@@ -68,6 +68,20 @@ class TestSensitivity:
         assert all(ws > 0 for ws in result.ws.values())
         assert "three-application" in result.render()
 
+    def test_three_apps_uses_every_core(self, tmp_path):
+        """Eight cores do not divide by three: the split is 3+3+2, never
+        2+2+2 with two cores idle (which the engine rejects)."""
+        ctx = ExperimentContext(
+            config=small_config().with_(n_cores=8),
+            lengths=RunLengths.quick(),
+            seed=5,
+            store=ResultStore(tmp_path),
+        )
+        result = run_three_apps(
+            ctx, names=("BLK", "TRD", "JPEG"), schemes=("besttlp",)
+        )
+        assert result.ws["besttlp"] > 0
+
     def test_three_apps_needs_cores(self, ctx):
         with pytest.raises(ValueError, match="cannot host"):
             run_three_apps(ctx, names=("BLK", "TRD", "JPEG"))
