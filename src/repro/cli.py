@@ -26,7 +26,7 @@ Commands
 
 ``lint [PATHS...]``
     Run the repo's static invariant checker (:mod:`repro.devtools`)
-    over the tree: determinism, cache-schema drift, layering, and
+    over the tree: determinism, layering, picklability, and
     friends.  See ``docs/devtools.md``.
 
 ``trace summarize RUN``
@@ -75,7 +75,7 @@ from repro.core.runner import ALL_SCHEMES, RunLengths
 from repro.devtools.linter import add_arguments as lint_add_arguments
 from repro.devtools.linter import run as lint_run
 from repro.exec import ProgressThrottle, resolve_jobs
-from repro.experiments.common import CACHE_FORMAT, ExperimentContext
+from repro.experiments.common import MODEL_DIGEST, ExperimentContext
 from repro.experiments.open_system import SCENARIOS, run_open_scenario
 from repro.experiments.report import render_table
 from repro.experiments.table4 import run_table4
@@ -564,7 +564,7 @@ def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
         seed=args.seed,
         quick=args.quick,
         n_jobs=resolve_jobs(args.jobs),
-        cache_format=CACHE_FORMAT,
+        model_digest=MODEL_DIGEST,
         repo_root=Path(__file__).resolve().parents[2],
     )
     with traced_run(

@@ -1,6 +1,6 @@
 """Developer tooling: the repo's own static-analysis pass.
 
-``repro.devtools`` hosts a lint framework plus sixteen repo-specific
+``repro.devtools`` hosts a lint framework plus fifteen repo-specific
 rules that guard the reproduction's headline guarantees.  Every rule
 reads one summary per source file (:mod:`repro.devtools.semantic
 .summary`), extracted in one walk and cached by content digest.  The
@@ -18,11 +18,9 @@ summaries' sites:
   through the atomic-replace helpers;
 * **R007 no-print** and **R008 hot-path allocation** in the simulator.
 
-**R003 cache-schema drift** (same package) fingerprints the serialized
-field sets of ``SimResult``/``SchemeResult``/``WindowSample`` and pins
-them against ``CACHE_FORMAT``, so changing them without bumping the
-version (a ``windows`` field the serializer once dropped) fails the
-lint.
+R003 (a hand-pinned cache schema) is retired and its id is not reused:
+the result store keys on the golden fixtures' digest instead, so a
+changed model or serialized layout moves every key by itself.
 
 The whole-program rules live in :mod:`repro.devtools.semantic`:
 **R001 determinism** (no unseeded global RNG, no wall-clock reads or

@@ -150,7 +150,7 @@ def lint_paths(
     Every rule reads the batch's file summaries, which the lint cache
     (``<root>/.lint-cache/``; off with ``semantic_cache=False``) keeps by
     content digest, so a cached file is parsed only if a rule needs its
-    tree (R003, R009, the units pass) or a finding its ``noqa`` extents.
+    tree (R009, the units pass) or a finding its ``noqa`` extents.
     ``changed`` narrows the *report* to those repo-relative paths; the
     rules still see the whole batch.  ``jobs`` parallelizes
     summarization (same findings).  ``_project_out`` receives the built
@@ -290,12 +290,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--update-cache-schema",
-        action="store_true",
-        help="re-pin the cached-result schema fingerprint (after a "
-        "deliberate CACHE_FORMAT bump) and exit",
-    )
-    parser.add_argument(
         "--types",
         action="store_true",
         help="additionally run the mypy baseline ratchet over the "
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checker for the repro tree "
-        "(determinism, cache-schema drift, layering, ...)",
+        "(determinism, layering, picklability, ...)",
     )
     add_arguments(parser)
     return parser
@@ -374,17 +368,6 @@ def run(args: argparse.Namespace) -> int:
         for rule in all_rules():
             print(f"{rule.id}  {rule.name:<20s} [{rule.severity.value}] "
                   f"{rule.rationale}")
-        return 0
-
-    if args.update_cache_schema:
-        from repro.devtools.rules.cache_schema import write_pin
-
-        try:
-            pin = write_pin(root or find_root(Path.cwd()))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"re-pinned cache schema at {pin}")
         return 0
 
     missing = [p for p in args.paths if not Path(p).exists()]

@@ -5,16 +5,17 @@ Importing this package registers every rule with
 that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
-The single-file rules (R002, R004–R008) and R003 live in this package; the
-single-file ones filter the file summaries of
-:mod:`repro.devtools.semantic.summary`.  The whole-program rules (R001
-and R009–R016) live in :mod:`repro.devtools.semantic` and are imported
-here for the same register-on-import effect.
+The single-file rules (R002, R004–R008) live in this package and filter
+the file summaries of :mod:`repro.devtools.semantic.summary`.  The
+whole-program rules (R001 and R009–R016) live in
+:mod:`repro.devtools.semantic` and are imported here for the same
+register-on-import effect.  R003 (a hand-pinned cache schema) is
+retired and its id is not reused: the result store keys on the golden
+fixtures' digest instead (``repro.experiments.common.MODEL_DIGEST``).
 """
 
 from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
     atomic_write,
-    cache_schema,
     floatcmp,
     hotpath,
     layering,

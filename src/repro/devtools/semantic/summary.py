@@ -26,7 +26,7 @@ can key it by content hash):
 
 This module is the one vocabulary of ambient RNG draws, clock/entropy
 reads, set-ordered iteration, state mutation and file writes, and every
-rule but R003, R009 and the units pass (R012/R013) reads only these
+rule but R009 and the units pass (R012/R013) reads only these
 records.  Files outside the module roots get a summary too (with no
 module name), since R005 checks every file.
 

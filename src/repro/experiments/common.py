@@ -8,9 +8,10 @@ Every experiment consumes three kinds of simulation products:
   the pattern figures;
 * *scheme evaluations* — full runs of one scheme on one workload.
 
-All three are pure functions of (config, workload, run lengths, seed),
-so :class:`ResultStore` caches them as JSON under ``results/`` keyed by
-a fingerprint of those inputs.  Delete the directory to recompute.
+All three are pure functions of (model, config, workload, run lengths,
+seed), so :class:`ResultStore` caches them as JSON under ``results/``
+keyed by a fingerprint of those inputs; :data:`MODEL_DIGEST` stands for
+the model.  Delete the directory to recompute.
 
 Simulation products are computed through :mod:`repro.exec`: a context's
 ``n_jobs`` (default: ``$REPRO_JOBS``, else all cores) fans independent
@@ -52,37 +53,16 @@ from repro.workloads.synthetic import AppProfile
 from repro.workloads.table4 import app_by_abbr
 
 __all__ = ["ResultStore", "ExperimentContext", "DEFAULT_RESULTS_DIR",
-           "CACHE_FORMAT", "SCHEME_VERSIONS", "atomic_write_text"]
+           "MODEL_DIGEST", "atomic_write_text"]
 
 DEFAULT_RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
-#: Serialization-format version, folded into every cache key.  Bump it
-#: whenever the JSON layout of a cached product changes so stale entries
-#: are recomputed rather than half-deserialized.
-#:
-#: v2: ``SimResult.windows`` round-trips (older entries dropped the
-#: window log, so cached scheme evaluations disagreed with fresh ones
-#: for window-log consumers such as the fig11 timeline experiments).
-#:
-#: v3: ``SchemeResult.decisions`` round-trips (the controllers'
-#: structured decision logs, consumed by the trace/summarize tooling).
-#:
-#: v4: ``SimResult.roster`` round-trips (open-system tenancy timelines;
-#: the key is omitted entirely for closed-system results, whose payloads
-#: are byte-identical to v3).
-CACHE_FORMAT = 4
-
-#: Algorithm-version salts folded into scheme cache keys.  Bump a
-#: family's version when its controller/search logic changes so stale
-#: cached evaluations are recomputed — without discarding everything
-#: else (surfaces, alone profiles, other schemes).
-SCHEME_VERSIONS: dict[str, int] = {
-    "pbs": 2,  # v2: coordinate-descent refinement pass (stage 4)
-    "dyncta": 1,
-    "ccws": 1,
-    "modbypass": 1,
-    "static": 1,  # besttlp / maxtlp / bf-* / opt-*
-}
+#: The model version folded into every cache key: the sha256 of the
+#: golden fixtures (``tests/golden/*.json``), which pin the simulator's
+#: output and the serialized ``SimResult`` layout.  Written by
+#: ``scripts/regen_golden.py``, never by hand, so regenerating the
+#: fixtures moves every key and a bit-identical change moves none.
+MODEL_DIGEST = "d5ccaa8c007989387b96b1a006b58f769a7c5062ccea5df9b2c7879480d42f67"
 
 
 def _searches(scheme: str) -> bool:
@@ -90,16 +70,7 @@ def _searches(scheme: str) -> bool:
     return scheme.startswith(("bf-", "opt-", "pbs-offline-"))
 
 
-def _scheme_version(scheme: str) -> int:
-    for family in ("pbs", "dyncta", "ccws", "modbypass"):
-        if scheme.startswith(family):
-            return SCHEME_VERSIONS[family]
-    return SCHEME_VERSIONS["static"]
-
-_SAMPLE_FIELDS = (
-    "app_id", "cycles", "insts", "ipc", "l1_miss_rate", "l2_miss_rate",
-    "cmr", "bw", "eb", "avg_mem_latency", "row_hit_rate",
-)
+_SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(WindowSample))
 
 
 def _sample_to_dict(sample: WindowSample) -> dict:
@@ -251,7 +222,7 @@ class ExperimentContext:
     def _profile_key(self, *parts: object) -> str:
         """Key for profiling products: only profile lengths matter."""
         return _fingerprint(
-            CACHE_FORMAT,
+            MODEL_DIGEST,
             dataclasses.asdict(self.config),
             (self.lengths.profile_cycles, self.lengths.profile_warmup),
             self.seed,
@@ -260,7 +231,7 @@ class ExperimentContext:
 
     def _key(self, *parts: object) -> str:
         return _fingerprint(
-            CACHE_FORMAT,
+            MODEL_DIGEST,
             dataclasses.asdict(self.config),
             dataclasses.asdict(self.lengths),
             self.seed,
@@ -423,13 +394,7 @@ class ExperimentContext:
         scheme: str,
         core_split: tuple[int, ...] | None,
     ) -> str:
-        version = _scheme_version(scheme)
-        # Version 1 keys keep the historical format so existing cached
-        # evaluations of unchanged scheme families remain valid.
-        parts = ("scheme", tuple(repr(a) for a in apps), scheme)
-        if version != 1:
-            parts += (f"v{version}",)
-        return self._key(*parts, core_split)
+        return self._key("scheme", tuple(repr(a) for a in apps), scheme, core_split)
 
     def _load_scheme(self, key: str) -> SchemeResult | None:
         cached = self.store.load("scheme", key, _is_scheme)

@@ -50,7 +50,9 @@ class SchemeComparison:
     def render(self) -> str:
         headers = ("workload",) + self.schemes
         rows = []
-        shown = self.representative or sorted(self.per_workload)
+        # The representative workloads this comparison ran, else all.
+        shown = [wl for wl in self.representative if wl in self.per_workload]
+        shown = shown or sorted(self.per_workload)
         for wl in shown:
             values = self.per_workload[wl]
             rows.append((wl,) + tuple(values[s] for s in self.schemes))

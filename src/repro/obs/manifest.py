@@ -2,8 +2,8 @@
 
 A manifest is written next to every trace so a run is replayable and
 attributable months later: the exact command, config fingerprint, seed,
-cache-format version, git revision, interpreter, and per-phase wall
-timings.  ``repro trace summarize`` leads with it, and CI asserts its
+model digest (the result store's model version), git revision,
+interpreter, and per-phase wall timings.  ``repro trace summarize`` leads with it, and CI asserts its
 completeness on every traced smoke run.
 """
 
@@ -46,7 +46,7 @@ REQUIRED_FIELDS = (
     "seed",
     "quick",
     "n_jobs",
-    "cache_format",
+    "model_digest",
     "git_rev",
     "python",
     "platform",
@@ -93,7 +93,7 @@ class RunManifest:
     seed: int
     quick: bool
     n_jobs: int | None
-    cache_format: int
+    model_digest: str  # the result store's model version
     git_rev: str | None = None
     python: str = ""
     platform: str = ""
@@ -117,7 +117,7 @@ class RunManifest:
         seed: int,
         quick: bool,
         n_jobs: int | None,
-        cache_format: int,
+        model_digest: str,
         repo_root: Path | None = None,
     ) -> "RunManifest":
         """Collect the environment-side fields at run start."""
@@ -130,7 +130,7 @@ class RunManifest:
             seed=seed,
             quick=quick,
             n_jobs=n_jobs,
-            cache_format=cache_format,
+            model_digest=model_digest,
             git_rev=git_revision(repo_root),
             python=sys.version.split()[0],
             platform=platform.platform(),

@@ -275,7 +275,7 @@ def _manifest_section(
         f"jobs: {manifest.get('n_jobs')}"
     )
     lines.append(
-        f"  cache_format: {manifest.get('cache_format')}  "
+        f"  model_digest: {manifest.get('model_digest')}  "
         f"git: {manifest.get('git_rev') or 'n/a'}  "
         f"python: {manifest.get('python')}"
     )

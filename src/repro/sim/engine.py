@@ -201,8 +201,8 @@ def set_engine_profiling(on: bool) -> bool:
     window boundaries, folding the aggregates into the ambient
     :class:`~repro.obs.metrics.MetricsRegistry` at the end of ``run()``
     under the ``engine.`` namespace.  Profiling never touches
-    :class:`SimResult` (lint rule R003: the cache schema is fixed), so
-    profiled and unprofiled runs stay bit-identical.
+    :class:`SimResult` (its stored layout is pinned by the golden
+    fixtures), so profiled and unprofiled runs stay bit-identical.
     """
     global _ENGINE_PROFILING
     previous = _ENGINE_PROFILING
@@ -1411,7 +1411,8 @@ class Simulator:
         Counters are additive across the Simulators of one run (a sweep
         job simulates several configurations); high-water gauges take
         the max so the registry reports the worst case seen.  This is
-        the R003-safe seam: nothing profiling-related enters SimResult.
+        the seam that keeps SimResult, and so the result store's key,
+        unchanged: nothing profiling-related enters it.
         """
         registry = get_metrics()
         prof = self._prof

@@ -16,15 +16,20 @@ The matrix deliberately walks every dispatch path of the hot loop:
 * every controller family (DynCTA, CCWS, Mod+Bypass with its bypass
   actuation, online PBS), which exercises window cuts, the TLP
   timeline, and delayed actuation events;
-* a second cache/channel geometry (``medium_config``).
+* a second cache/channel geometry (``medium_config``);
+* every static scheme over one profiled surface (the alone sweeps, the
+  brute-force, oracle and offline-PBS searches, and the slowdown
+  metrics), pinned by pick and metric rather than by run.
 
 Regenerate fixtures with ``python scripts/regen_golden.py`` — but only
 when a *semantic* change is intended; a pure performance refactor must
-never need to.
+never need to.  Their digest is the result store's model version
+(``MODEL_DIGEST``), so regenerating them also moves every store key.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +40,13 @@ from repro.core.controller import TLPController
 from repro.core.dyncta import DynCTAController
 from repro.core.modbypass import ModBypassController
 from repro.core.pbs import PBSController
-from repro.core.runner import run_combo
+from repro.core.runner import (
+    RunLengths,
+    evaluate_scheme,
+    profile_alone,
+    profile_surface,
+    run_combo,
+)
 from repro.experiments.common import _result_to_dict
 from repro.sim import SimResult
 from repro.workloads.table4 import app_by_abbr
@@ -58,7 +69,19 @@ class GoldenCase:
     sample_period: float = 800.0
     core_split: tuple[int, ...] | None = None
     l2_way_quota: tuple[tuple[int, int], ...] | None = None
+    #: static schemes evaluated over the case's alone profiles and
+    #: surface, both profiled at ``cycles``/``warmup``; such a case pins
+    #: each scheme's pick and metrics instead of one run
+    schemes: tuple[str, ...] = ()
 
+
+#: every scheme that runs one combination, picked before the run
+STATIC_SCHEMES = (
+    "besttlp", "maxtlp",
+    "bf-ws", "bf-fi", "bf-hs",
+    "opt-ws", "opt-fi", "opt-hs",
+    "pbs-offline-ws", "pbs-offline-fi", "pbs-offline-hs",
+)
 
 CASES: tuple[GoldenCase, ...] = (
     GoldenCase("alone-blk", ("BLK",), (8,), 8000, 2000, seed=3),
@@ -83,6 +106,8 @@ CASES: tuple[GoldenCase, ...] = (
                controller="pbs-fi"),
     GoldenCase("medium-corun-blk-trd", ("BLK", "TRD"), (8, 8), 6000, 1500,
                seed=1, config="medium"),
+    GoldenCase("static-blk-trd", ("BLK", "TRD"), (), 4000, 1000, seed=3,
+               schemes=STATIC_SCHEMES),
 )
 
 
@@ -138,6 +163,34 @@ def result_payload(result: SimResult) -> dict:
     return json.loads(json.dumps(_result_to_dict(result)))
 
 
+def schemes_payload(case: GoldenCase) -> dict:
+    """Each static scheme's pick and metrics, over profiles and a surface
+    whose lengths equal the evaluation's, so every pick reuses a run."""
+    config = build_config(case)
+    apps = [app_by_abbr(a) for a in case.apps]
+    lengths = RunLengths(case.cycles, case.warmup, case.cycles, case.warmup)
+    alone = [
+        profile_alone(config, app, config.n_cores // len(apps), lengths,
+                      case.seed, n_jobs=1)
+        for app in apps
+    ]
+    surface = profile_surface(config, apps, lengths, case.seed, n_jobs=1)
+    payload = {}
+    for scheme in case.schemes:
+        r = evaluate_scheme(config, apps, scheme, alone, surface=surface,
+                            lengths=lengths, seed=case.seed)
+        payload[scheme] = {"combo": r.combo, "sds": r.sds, "ws": r.ws,
+                           "fi": r.fi, "hs": r.hs}
+    return json.loads(json.dumps(payload))
+
+
+def case_result(case: GoldenCase) -> dict:
+    """What the case's fixture records under ``"result"``."""
+    if case.schemes:
+        return schemes_payload(case)
+    return result_payload(run_case(case))
+
+
 def case_payload(case: GoldenCase) -> dict:
     """The fixture's self-describing header."""
     return {
@@ -154,4 +207,19 @@ def case_payload(case: GoldenCase) -> dict:
         "l2_way_quota": (
             [list(q) for q in case.l2_way_quota] if case.l2_way_quota else None
         ),
+        # Run cases omit the key, which keeps their fixtures as recorded.
+        **({"schemes": list(case.schemes)} if case.schemes else {}),
     }
+
+
+def fixtures_digest() -> str:
+    """The sha256 of every fixture's canonical JSON, in name order: the
+    model version ``MODEL_DIGEST`` must equal.  Canonical encoding makes
+    it independent of the files' whitespace and line endings."""
+    digest = hashlib.sha256()
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        digest.update(
+            json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+        )
+    return digest.hexdigest()

@@ -2,8 +2,7 @@
 
 Each rule gets a known-bad and a known-clean fixture (written into a
 temp project tree so linting this test file never sees them), plus the
-two repo-level gates: the real tree lints clean, and mutating a
-``SimResult`` field without bumping ``CACHE_FORMAT`` trips R003.
+repo-level gate that the real tree lints clean.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ import pytest
 from repro.devtools import Finding, Severity, all_rules, lint_paths
 from repro.devtools.context import module_name_for
 from repro.devtools.linter import DEFAULT_PATHS, main
-from repro.devtools.rules.cache_schema import (
-    PIN_RELPATH,
-    extract_schema,
-    load_pin,
-    schema_fingerprint,
-    write_pin,
-)
 from repro.devtools.suppressions import filter_suppressed, scan_noqa
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -47,9 +39,10 @@ def rules_of(findings: list[Finding]) -> set[str]:
 
 class TestFramework:
     def test_registry_has_all_sixteen_rules(self):
+        # R001-R016 but R003, which is retired and whose id is not reused
         ids = [r.id for r in all_rules()]
         assert ids == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R001", "R002", "R004", "R005", "R006", "R007", "R008",
             "R009", "R010", "R011", "R012", "R013", "R014", "R015", "R016",
         ]
 
@@ -109,8 +102,8 @@ class TestSuppressions:
         )
         assert supp[2] == frozenset({"R001", "R004"})
         assert supp[3] == frozenset({"*"})
-        f = Finding("R003", Severity.ERROR, "p", 2, 0, "m")
-        assert filter_suppressed([f], supp) == [f]  # R003 not listed
+        f = Finding("R002", Severity.ERROR, "p", 2, 0, "m")
+        assert filter_suppressed([f], supp) == [f]  # R002 not listed
 
 
 # --- R001 determinism ---------------------------------------------------------
@@ -303,92 +296,6 @@ class TestR002FloatEquality:
     def test_tests_are_exempt(self, tmp_path):
         src = "def test_x():\n    assert 1.0 == 1.0\n"
         assert lint_tree(tmp_path, {"tests/test_x.py": src}, select=["R002"]) == []
-
-
-# --- R003 cache schema --------------------------------------------------------
-
-_SCHEMA_TREE = {
-    "src/repro/sim/engine.py": (
-        "class SimResult:\n    samples: dict\n    cycles: float\n"
-    ),
-    "src/repro/core/runner.py": (
-        "class SchemeResult:\n    scheme: str\n    ws: float\n"
-    ),
-    "src/repro/sim/stats.py": (
-        "class WindowSample:\n    ipc: float\n    eb: float\n"
-    ),
-    "src/repro/experiments/common.py": (
-        "CACHE_FORMAT = 1\n_SAMPLE_FIELDS = ('ipc', 'eb')\n"
-    ),
-}
-
-
-class TestR003CacheSchema:
-    def _seed(self, tmp_path) -> Path:
-        for relpath, content in _SCHEMA_TREE.items():
-            path = tmp_path / relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content)
-        (tmp_path / "pyproject.toml").touch()
-        write_pin(tmp_path)
-        return tmp_path
-
-    def test_pinned_tree_is_clean(self, tmp_path):
-        root = self._seed(tmp_path)
-        assert lint_paths([root], root=root, select=["R003"]) == []
-
-    def test_mutating_simresult_without_bump_trips(self, tmp_path):
-        root = self._seed(tmp_path)
-        engine = root / "src/repro/sim/engine.py"
-        engine.write_text(engine.read_text() + "    windows: list\n")
-        findings = lint_paths([root], root=root, select=["R003"])
-        assert rules_of(findings) == {"R003"}
-        assert "SimResult" in findings[0].message
-        assert "CACHE_FORMAT" in findings[0].message
-        # finding anchors at the CACHE_FORMAT assignment in the serializer
-        assert findings[0].path == "src/repro/experiments/common.py"
-
-    def test_bump_without_repin_trips_then_repin_clears(self, tmp_path):
-        root = self._seed(tmp_path)
-        engine = root / "src/repro/sim/engine.py"
-        engine.write_text(engine.read_text() + "    windows: list\n")
-        common = root / "src/repro/experiments/common.py"
-        common.write_text(common.read_text().replace("CACHE_FORMAT = 1",
-                                                     "CACHE_FORMAT = 2"))
-        findings = lint_paths([root], root=root, select=["R003"])
-        assert rules_of(findings) == {"R003"}  # pin still records v1
-        write_pin(root)
-        assert lint_paths([root], root=root, select=["R003"]) == []
-
-    def test_serializer_field_list_is_part_of_schema(self, tmp_path):
-        # dropping a field from _SAMPLE_FIELDS (the PR 1 bug shape:
-        # serializer lagging the dataclass) must also trip the rule
-        root = self._seed(tmp_path)
-        common = root / "src/repro/experiments/common.py"
-        common.write_text(common.read_text().replace("('ipc', 'eb')", "('ipc',)"))
-        findings = lint_paths([root], root=root, select=["R003"])
-        assert rules_of(findings) == {"R003"}
-        assert "_SAMPLE_FIELDS" in findings[0].message
-
-    def test_missing_pin_reports_how_to_create(self, tmp_path):
-        root = self._seed(tmp_path)
-        (root / PIN_RELPATH).unlink()
-        findings = lint_paths([root], root=root, select=["R003"])
-        assert rules_of(findings) == {"R003"}
-        assert "--update-cache-schema" in findings[0].message
-
-    def test_real_repo_pin_matches_source(self):
-        from repro.devtools.context import ProjectContext
-
-        extracted = extract_schema(ProjectContext(root=REPO_ROOT))
-        assert extracted is not None
-        schema, cache_format, _ = extracted
-        pin = load_pin(REPO_ROOT)
-        assert pin is not None
-        assert pin["cache_format"] == cache_format
-        assert pin["fingerprint"] == schema_fingerprint(schema)
-        # the fields the PR 1 bug dropped are part of the fingerprint
-        assert "windows" in schema["SimResult"]
 
 
 # --- R004 layering ------------------------------------------------------------
@@ -779,7 +686,7 @@ class TestLintCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006", "R007"):
+        for rule_id in ("R001", "R002", "R004", "R005", "R006", "R007"):
             assert rule_id in out
 
     def test_missing_path_is_usage_error(self, capsys):
@@ -804,10 +711,10 @@ class TestLintCLI:
 
         code = repro_main(["lint", "--list-rules"])
         assert code == 0
-        assert "R003" in capsys.readouterr().out
+        assert "R001" in capsys.readouterr().out
 
     def test_each_rule_fires_on_seeded_violation(self, tmp_path):
-        """One seeded violation per rule: the linter must catch all ten."""
+        """One seeded violation per rule: the linter must catch all nine."""
         seeded = {
             "src/repro/sim/r1.py": "import time\nt = time.time()\n",
             "src/repro/core/r7.py": "def f(x):\n    print(x)\n",
@@ -826,36 +733,29 @@ class TestLintCLI:
                 "    return lambda t: channel.complete(t)\n"
             ),
             "src/repro/exec/r11.py": "def f(x):\n    return x\n",
-            # R003: schema tree, pinned below, then mutated
-            **_SCHEMA_TREE,
+            # R009: a use-after-release in a mini stage machine
+            "src/repro/sim/engine.py": (
+                "class MemTxn:\n"
+                "    COMPUTE = 0\n"
+                "    __slots__ = ('stage',)\n"
+                "_COMPUTE = MemTxn.COMPUTE\n"
+                "class Simulator:\n"
+                "    __slots__ = ('_txn_pool',)\n"
+                "    def _dispatch(self, txn: MemTxn, now: float) -> None:\n"
+                "        if txn.stage == _COMPUTE:\n"
+                "            self._txn_pool.append(txn)\n"
+                "            txn.stage = _COMPUTE\n"
+                "            return\n"
+            ),
         }
-        # R009: a use-after-release in a mini stage machine, ahead of the
-        # schema tree's SimResult (which the R003 mutation appends to).
-        seeded["src/repro/sim/engine.py"] = (
-            "class MemTxn:\n"
-            "    COMPUTE = 0\n"
-            "    __slots__ = ('stage',)\n"
-            "_COMPUTE = MemTxn.COMPUTE\n"
-            "class Simulator:\n"
-            "    __slots__ = ('_txn_pool',)\n"
-            "    def _dispatch(self, txn: MemTxn, now: float) -> None:\n"
-            "        if txn.stage == _COMPUTE:\n"
-            "            self._txn_pool.append(txn)\n"
-            "            txn.stage = _COMPUTE\n"
-            "            return\n"
-            + seeded["src/repro/sim/engine.py"]
-        )
         for relpath, content in seeded.items():
             path = tmp_path / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(content)
         (tmp_path / "pyproject.toml").touch()
-        write_pin(tmp_path)
-        engine = tmp_path / "src/repro/sim/engine.py"
-        engine.write_text(engine.read_text() + "    extra: int\n")
         findings = lint_paths([tmp_path], root=tmp_path)
         assert rules_of(findings) >= {
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R001", "R002", "R004", "R005", "R006", "R007", "R008",
             "R009", "R011",
         }
 

@@ -99,6 +99,48 @@ class TestResultStore:
             ctx.scheme(apps, "besttlp")
 
 
+class TestStoreKinds:
+    """Each kind of store entry is served back exactly, and only to the
+    model that computed it."""
+
+    APPS = ("BLK", "TRD")
+    SCHEMES = ("dyncta", "pbs-ws")  # window log, TLP timeline, decisions
+
+    def _products(self, root):
+        ctx = ExperimentContext(small_config(), RunLengths.quick(), seed=5,
+                                store=ResultStore(root), n_jobs=1)
+        apps = ctx.pair_apps(*self.APPS)
+        previous = set_metrics(MetricsRegistry())
+        try:
+            products = (ctx.alone_for(apps), ctx.surface(apps),
+                        ctx.schemes(apps, self.SCHEMES))
+            return products, get_metrics().counters
+        finally:
+            set_metrics(previous)
+
+    def test_every_kind_round_trips_exactly_as_a_hit(self, tmp_path):
+        computed, _ = self._products(tmp_path)
+        assert computed[0][0].sweep and computed[2]["pbs-ws"].decisions
+        assert computed[2]["dyncta"].result.windows
+        loaded, counters = self._products(tmp_path)
+        assert loaded == computed
+        assert counters == {"cache.alone.hit": 2, "cache.surface.hit": 1,
+                            "cache.scheme.hit": 2}
+
+    def test_another_model_digest_recomputes_every_kind(self, tmp_path, monkeypatch):
+        import repro.experiments.common as common
+
+        computed, cold = self._products(tmp_path)
+        n_files = len(list(tmp_path.iterdir()))
+        monkeypatch.setattr(common, "MODEL_DIGEST", common.MODEL_DIGEST + "-changed")
+        recomputed, counters = self._products(tmp_path)
+        assert recomputed == computed
+        # the same misses and saves as over an empty store, for every kind
+        assert counters == cold
+        assert {"cache.alone.save", "cache.surface.save", "cache.scheme.save"} <= set(cold)
+        assert len(list(tmp_path.iterdir())) == 2 * n_files
+
+
 class TestAloneCaching:
     def test_cache_hit_reproduces_profile(self, ctx):
         app = app_by_abbr("BLK")

@@ -3,7 +3,7 @@ trees parsed on demand, and summaries that survive subset runs.
 
 A warm ``lint_paths`` must return exactly what a cold or an uncached
 run returns, while summarizing nothing and parsing only the trees a
-rule reads (R003, R009, the units pass) or a finding's ``noqa`` extents
+rule reads (R009, the units pass) or a finding's ``noqa`` extents
 need.  The fixture makes every single-file rule fire once, next to a
 ``# repro: noqa`` twin it must keep suppressed, and adds an unparseable
 file and whole-program findings (one suppressed over a multi-line

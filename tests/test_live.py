@@ -593,7 +593,7 @@ class TestEngineProfiling:
             profiled = _tiny_run()
         finally:
             set_engine_profiling(previous)
-        assert profiled == silent  # bit-identical SimResult (R003)
+        assert profiled == silent  # bit-identical SimResult
 
 
 class TestTelemetryIdentity:

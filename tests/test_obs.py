@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.experiments.common import MODEL_DIGEST
 from repro.obs import (
     MANIFEST_FILENAME,
     REQUIRED_FIELDS,
@@ -360,7 +361,7 @@ class TestManifest:
         return RunManifest.start(
             run_id="r", command="compare", argv=["compare", "BLK", "TRD"],
             config_name="small", config_dict={"n_sm": 4}, seed=1,
-            quick=True, n_jobs=2, cache_format=3,
+            quick=True, n_jobs=2, model_digest="d1",
         )
 
     def test_complete_manifest_validates(self, tmp_path):
@@ -623,7 +624,7 @@ class TestCLITrace:
         manifest = json.loads((run_dir / MANIFEST_FILENAME).read_text())
         assert validate_manifest(manifest) == []
         assert manifest["command"] == "compare"
-        assert manifest["cache_format"] >= 3
+        assert manifest["model_digest"] == MODEL_DIGEST
         assert manifest["phases"]  # per-phase wall timings recorded
         assert manifest["files"] == sorted([STREAM_FILENAME, "trace.chrome.json"])
         capsys.readouterr()
