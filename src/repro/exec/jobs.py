@@ -8,10 +8,10 @@ builds a fresh :class:`~repro.sim.engine.Simulator` in the worker
 process and returns the :class:`~repro.sim.engine.SimResult`.
 
 Only *uncontrolled* (fixed-TLP) runs are expressed as ``SimJob``s:
-profiling sweeps are thousands of short fixed-combination runs, which is
-where parallelism pays.  Controller-driven scheme evaluations go through
-:meth:`repro.experiments.common.ExperimentContext.schemes_for`, which
-parallelizes at the (workload, scheme) level instead.
+profiling sweeps are thousands of short fixed-combination runs.  A
+scheme's run is a :class:`repro.core.runner.SchemeJob`, which names its
+controller; :meth:`repro.experiments.common.ExperimentContext.schemes_for`
+puts both kinds in one batch.
 
 :class:`OpenSimJob` is the open-system counterpart: an initial roster,
 a tuple of :class:`~repro.sim.tenancy.TenancyEvent` arrivals and

@@ -279,10 +279,10 @@ def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float]:
             "elapsed_s": round(elapsed, 6),
         }
     )
-    # SchemeResults are streamed by the parent's emit_scheme_events —
-    # the single seam that also covers cached and in-process scheme
-    # evaluations — so workers publish window records only for bare
-    # SimResults (alone/surface jobs).
+    # A scheme's run (anything with a ``.result``) is streamed by the
+    # parent's emit_scheme_events — the single seam that also covers
+    # cached and in-process scheme evaluations — so workers publish
+    # window records only for bare SimResults (alone/surface jobs).
     if not hasattr(getattr(value, "result", None), "windows"):
         for record in result_records(value, getattr(spec, "tag", None)):
             publisher.publish(record)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.runner import evaluate_scheme, profile_alone
+from repro.core.runner import evaluate_scheme
 from repro.experiments.common import ExperimentContext
 from repro.experiments.report import render_table
 from repro.sim import split_cores
@@ -57,19 +57,10 @@ def run_three_apps(
         )
     # Every core is used (8 cores over 3 apps is 3+3+2), and each
     # application's alone baseline runs on its own share.
-    split = split_cores(ctx.config.n_cores, len(apps))
-    alone = [
-        profile_alone(ctx.config, a, n, lengths=ctx.lengths, seed=ctx.seed)
-        for a, n in zip(apps, split)
-    ]
-    ws, fi = {}, {}
-    for scheme in schemes:
-        r = evaluate_scheme(
-            ctx.config, apps, scheme, alone,
-            lengths=ctx.lengths, seed=ctx.seed, core_split=split,
-        )
-        ws[scheme], fi[scheme] = r.ws, r.fi
-    return ThreeAppResult(workload="_".join(names), ws=ws, fi=fi)
+    results = ctx.schemes(apps, schemes, split_cores(ctx.config.n_cores, len(apps)))
+    return ThreeAppResult(workload="_".join(names),
+                          ws={s: r.ws for s, r in results.items()},
+                          fi={s: r.fi for s, r in results.items()})
 
 
 @dataclass
@@ -103,20 +94,10 @@ def run_core_split(
     candidates = [(n // 4, n - n // 4), (n // 2, n - n // 2),
                   (3 * n // 4, n - 3 * n // 4)]
     splits = sorted({s for s in candidates if s[0] >= 1 and s[1] >= 1})
-    ws: dict[tuple[int, int], dict[str, float]] = {}
-    for split in splits:
-        alone = [
-            profile_alone(ctx.config, a, split[i], lengths=ctx.lengths,
-                          seed=ctx.seed)
-            for i, a in enumerate(apps)
-        ]
-        ws[split] = {}
-        for scheme in schemes:
-            r = evaluate_scheme(
-                ctx.config, apps, scheme, alone,
-                lengths=ctx.lengths, seed=ctx.seed, core_split=split,
-            )
-            ws[split][scheme] = r.ws
+    ws = {
+        split: {s: r.ws for s, r in ctx.schemes(apps, schemes, split).items()}
+        for split in splits
+    }
     return CoreSplitResult(workload="_".join(pair_names), ws=ws)
 
 
@@ -143,39 +124,16 @@ def run_l2_partition(
     ctx: ExperimentContext, pair_names=("BLK", "TRD"),
     schemes=("besttlp", "pbs-ws"),
 ) -> L2PartitionResult:
-    from repro.core.runner import run_combo
-    from repro.core.dyncta import DynCTAController  # noqa: F401 (doc link)
-
     apps = ctx.pair_apps(*pair_names)
     alone = ctx.alone_for(apps)
     half_ways = ctx.config.l2_per_channel.assoc // 2
-    ws: dict[str, dict[str, float]] = {}
-    for label, quota in (("shared L2", None),
-                         ("way-partitioned L2", {0: half_ways, 1: half_ways})):
-        ws[label] = {}
-        for scheme in schemes:
-            if scheme == "besttlp":
-                combo = tuple(p.best_tlp for p in alone)
-                result = run_combo(
-                    ctx.config, apps, combo, ctx.lengths.eval_cycles,
-                    ctx.lengths.eval_warmup, seed=ctx.seed,
-                    l2_way_quota=quota,
-                )
-            else:
-                from repro.core.pbs import PBSController
-
-                metric = scheme.rsplit("-", 1)[-1]
-                controller = PBSController(
-                    metric, n_apps=2,
-                    sample_period=ctx.lengths.sample_period,
-                )
-                result = run_combo(
-                    ctx.config, apps, (24, 24), ctx.lengths.dynamic_cycles,
-                    ctx.lengths.dynamic_warmup, seed=ctx.seed,
-                    controller=controller, l2_way_quota=quota,
-                )
-            sds = [
-                result.samples[a].ipc / alone[a].ipc_alone for a in (0, 1)
-            ]
-            ws[label][scheme] = sum(sds)
+    # The shared L2 is the context's own evaluation, served by its store.
+    ws = {"shared L2": {s: r.ws for s, r in ctx.schemes(apps, schemes).items()}}
+    ws["way-partitioned L2"] = {
+        scheme: evaluate_scheme(
+            ctx.config, apps, scheme, alone, lengths=ctx.lengths, seed=ctx.seed,
+            l2_way_quota={0: half_ways, 1: half_ways},
+        ).ws
+        for scheme in schemes
+    }
     return L2PartitionResult(workload="_".join(pair_names), ws=ws)

@@ -213,8 +213,10 @@ class TestSchemeCaching:
         assert len(list(tmp_path.iterdir())) == n_files
 
 
-class TestOneBatchPerStage:
-    """A figure runs one pool batch per stage across all its workloads."""
+class TestOneBatch:
+    """A figure runs everything it misses as one pool batch across all its
+    workloads, controller runs first; its static schemes are scored from
+    the alone profiles and surfaces the batch made."""
 
     PAIRS = (("BLK", "TRD"), ("BLK", "FFT"), ("BFS", "LUD"))
     SCHEMES = ("besttlp", "dyncta", "bf-ws", "opt-ws")
@@ -223,11 +225,10 @@ class TestOneBatchPerStage:
         return ExperimentContext(small_config(), RunLengths.quick(), seed=3,
                                  store=ResultStore(root), n_jobs=n_jobs)
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_comparison_runs_three_batches(self, tmp_path, monkeypatch, n_jobs):
+    @staticmethod
+    def _count_batches(monkeypatch) -> list[list]:
         import repro.core.runner as runner
         import repro.experiments.common as common
-        from repro.experiments.fig9 import run_comparison
 
         batches: list[list] = []
 
@@ -239,12 +240,44 @@ class TestOneBatchPerStage:
 
         for module in (common, runner):
             monkeypatch.setattr(module, "run_jobs", counting(module.run_jobs))
+        return batches
+
+    @staticmethod
+    def _count_runs(monkeypatch) -> list[tuple]:
+        """Record every in-process ``Simulator.run`` as (apps, initial
+        TLP, cycles, controller class or None)."""
+        from repro.sim.engine import Simulator
+
+        runs: list[tuple] = []
+        real = Simulator.run
+
+        def run(sim, max_cycles, *args, **kwargs):
+            runs.append((tuple(a.abbr for a in sim.apps),
+                         tuple(sorted((kwargs.get("initial_tlp") or {}).items())),
+                         max_cycles, sim.controller and type(sim.controller).__name__))
+            return real(sim, max_cycles, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        return runs
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_comparison_runs_one_batch(self, tmp_path, monkeypatch, n_jobs):
+        from repro.core.runner import SchemeJob
+        from repro.experiments.fig9 import run_comparison
+
+        batches = self._count_batches(monkeypatch)
         table = run_comparison(self._context(tmp_path / "batched", n_jobs),
                                "ws", self.SCHEMES, self.PAIRS, representative=())
 
-        assert len(batches) == 3
-        alone = [job.tag for batch in batches for job in batch
-                 if job.tag[0] == "alone"]
+        assert len(batches) == 1
+        (batch,) = batches
+        # longest first: the controller runs lead the batch
+        assert [type(job) for job in batch[:3]] == [SchemeJob] * 3
+        assert [job.tag for job in batch[:3]] == [
+            ("scheme", "_".join(pair), "dyncta") for pair in self.PAIRS]
+        assert not any(isinstance(job, SchemeJob) for job in batch[3:])
+        assert sum(job.tag[0] == "surface" for job in batch) == 64 * len(self.PAIRS)
+        alone = [job.tag for job in batch if job.tag[0] == "alone"]
         distinct = {app for pair in self.PAIRS for app in pair}
         assert sorted(alone) == sorted(
             ("alone", app, level) for app in distinct for level in TLP_LEVELS
@@ -257,3 +290,74 @@ class TestOneBatchPerStage:
             assert table.per_workload["_".join(names)] == {
                 s: r.ws / max(base, 1e-12) for s, r in results.items()
             }
+
+    def test_a_static_run_no_surface_holds_takes_a_second_batch(
+            self, tmp_path, monkeypatch):
+        """bestTLP and maxTLP on workloads that request no search scheme
+        run after the alone profiles that pick bestTLP's combination."""
+        from repro.core.runner import SchemeJob
+
+        batches = self._count_batches(monkeypatch)
+        ctx = self._context(tmp_path, 2)
+        workloads = [ctx.pair_apps(*pair) for pair in self.PAIRS]
+        tables = ctx.schemes_for(workloads, ("besttlp", "maxtlp", "dyncta"))
+
+        assert len(batches) == 2
+        first, second = batches
+        assert [job.tag[0] for job in first] == (
+            ["scheme"] * 3 + ["alone"] * (len(first) - 3))
+        assert all(isinstance(job, SchemeJob) for job in second)
+        assert sorted(job.tag for job in second) == sorted(
+            ("scheme", "_".join(pair), s)
+            for pair in self.PAIRS for s in ("besttlp", "maxtlp"))
+        for apps, table in zip(workloads, tables):
+            best = tuple(p.best_tlp for p in ctx.alone_for(apps))
+            assert table["besttlp"].combo == best
+
+    def test_cold_stores_are_byte_identical_serial_and_pooled(self, tmp_path):
+        from repro.experiments.fig9 import run_comparison
+
+        stores = {}
+        for n_jobs in (1, 2):
+            root = tmp_path / f"jobs{n_jobs}"
+            run_comparison(self._context(root, n_jobs), "ws", self.SCHEMES,
+                           self.PAIRS[:2], representative=())
+            stores[n_jobs] = {p.name: p.read_bytes() for p in root.iterdir()}
+        assert stores[1] == stores[2]
+        assert len(stores[1]) == 3 + 2 + 2 * len(self.SCHEMES)  # alone, surface, scheme
+
+    def test_static_baselines_are_the_surface_runs(self, tmp_path):
+        ctx = self._context(tmp_path, 1)
+        apps = ctx.pair_apps("BLK", "TRD")
+        results = ctx.schemes(apps, ("besttlp", "maxtlp", "opt-ws"))
+        surface = ctx.surface(apps)
+        for scheme in ("besttlp", "maxtlp"):
+            result = results[scheme]
+            assert result.result == surface[result.combo]
+        assert results["maxtlp"].combo == (ctx.config.max_tlp,) * 2
+
+    def test_every_run_simulates_once(self, tmp_path, monkeypatch):
+        """One ``Simulator.run`` per alone level, per surface combination
+        and per dynamic scheme: bestTLP and the searches reuse the
+        surface, and a scheme named twice runs once."""
+        runs = self._count_runs(monkeypatch)
+        ctx = self._context(tmp_path, 1)
+        apps = ctx.pair_apps("BLK", "TRD")
+        ctx.schemes(apps, ("besttlp", "dyncta", "maxtlp", "dyncta", "opt-ws",
+                           "bf-ws", "pbs-ws", "pbs-offline-ws"))
+        assert len(runs) == len(set(runs))
+        assert sorted(r[0] for r in runs if len(r[0]) == 1) == sorted(
+            (abbr,) for abbr in ("BLK", "TRD") for _ in TLP_LEVELS)
+        static = [r for r in runs if len(r[0]) == 2 and r[3] is None]
+        assert len(static) == len(TLP_LEVELS) ** 2
+        assert sorted(r[3] for r in runs if r[3]) == [
+            "DynCTAController", "PBSController"]
+
+    def test_a_scheme_named_twice_runs_once(self, tmp_path, monkeypatch):
+        ctx = self._context(tmp_path, 1)
+        apps = ctx.pair_apps("BLK", "TRD")
+        ctx.alone_for(apps)
+        runs = self._count_runs(monkeypatch)
+        results = ctx.schemes(apps, ["dyncta", "dyncta"])
+        assert list(results) == ["dyncta"]
+        assert len(runs) == 1
