@@ -3,11 +3,11 @@
 
 Usage::
 
-    python scripts/ab.py BASE_REF WORKLOAD
+    python scripts/ab.py BASE_REF WORKLOAD [SEED]
 
 Exports ``BASE_REF`` with ``git archive`` into a temporary directory and
 runs ``perfbench/run.py --trace 0`` for ``WORKLOAD`` on that export and
-on the working tree, for ``PAIRS`` pairs at seed ``SEED``.  Each run
+on the working tree, for ``PAIRS`` pairs at ``SEED`` (default 1).  Each run
 lasts ``run_seconds`` of ``BENCHMARK.json``, and the pairs alternate
 which side runs first, so a drift in the host's speed falls on both.
 
@@ -36,7 +36,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "BENCH_ab.json"
 PAIRS = 10
-SEED = 1
 
 
 def git(*args: str) -> str:
@@ -52,11 +51,11 @@ def export(ref: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def bench(tree: Path, workload: str, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run in ``tree``: its metrics and provenance."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -86,10 +85,11 @@ def cpu_model() -> str:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python scripts/ab.py BASE_REF WORKLOAD", file=sys.stderr)
+    if len(argv) not in (2, 3) or not all(arg.isdigit() for arg in argv[2:]):
+        print("usage: python scripts/ab.py BASE_REF WORKLOAD [SEED]", file=sys.stderr)
         return 2
-    ref, workload = argv
+    ref, workload, *rest = argv
+    seed = int(rest[0]) if rest else 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if workload not in {w["name"] for w in spec["workloads"]}:
         print(f"ab: unknown workload {workload!r}", file=sys.stderr)
@@ -107,7 +107,7 @@ def main(argv: list[str]) -> int:
         trees = {"base": scratch, "head": ROOT}
         for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            runs = {side: bench(trees[side], workload, seconds) for side in order}
+            runs = {side: bench(trees[side], workload, seed, seconds) for side in order}
             pairs.append({"first": order[0], **runs})
             wall = {side: runs[side]["metrics"]["wall_s"] for side in order}
             print(f"pair {i + 1}/{PAIRS} ({order[0]} first): wall_s base "
@@ -118,7 +118,7 @@ def main(argv: list[str]) -> int:
     summary = {}
     print(f"{workload}: {base_rev} (base) against {head_rev}"
           f"{' + uncommitted changes' if dirty else ''} (head), "
-          f"{PAIRS} pairs of {seconds} s runs, seed {SEED}")
+          f"{PAIRS} pairs of {seconds} s runs, seed {seed}")
     print(f"{'metric':<18} {'base q1/median/q3':<30} {'head q1/median/q3':<30} "
           f"{'head/base':>9} {'won':>5}  beyond base IQR")
     for m in metrics:
@@ -144,7 +144,7 @@ def main(argv: list[str]) -> int:
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": workload,
         "run_seconds": seconds,
-        "seeds": [SEED] * PAIRS,
+        "seeds": [seed] * PAIRS,
         "base": {"ref": ref, "git": base_rev,
                  "src_sha256": pairs[0]["base"]["provenance"]["src_sha256"]},
         "head": {"git": head_rev, "uncommitted_changes": dirty,

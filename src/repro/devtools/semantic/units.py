@@ -45,6 +45,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Any
 
 from repro.devtools.findings import Finding, Severity
@@ -173,8 +174,10 @@ _EXTERNAL_SIGS: dict[str, Unit] = {
 }
 
 
+@cache
 def convention_unit(name: str) -> Unit | None:
-    """The unit a bare name suggests, or None."""
+    """The unit a bare name suggests, or None (memoized: a pass asks
+    about the same few thousand names over and over)."""
     unit = _EXACT_NAMES.get(name)
     if unit is not None:
         return unit

@@ -58,7 +58,8 @@ class Fig5Result:
 
 
 def run_fig5(ctx: ExperimentContext) -> Fig5Result:
-    profiles = {app.abbr: ctx.alone(app) for app in APPLICATIONS}
+    zoo = ctx.alone_for(list(APPLICATIONS), n_cores=ctx.config.n_cores // 2)
+    profiles = {p.abbr: p for p in zoo}
     pairs, ipc_ar, eb_ar = [], [], []
     for a, b in itertools.combinations(sorted(profiles), 2):
         pa, pb = profiles[a], profiles[b]

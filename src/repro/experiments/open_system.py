@@ -254,9 +254,8 @@ def run_open_scenario(
     attach_events = [ev for ev in schedule.events if ev.action == "attach"]
     for app_id, ev in zip(attach_ids, attach_events):
         profiles[app_id] = ev.profile
-    alone_ipc = {
-        a: ctx.alone(p).ipc_alone for a, p in sorted(profiles.items())
-    }
+    alone = ctx.alone_for(list(profiles.values()), n_cores=ctx.config.n_cores // 2)
+    alone_ipc = dict(sorted((a, r.ipc_alone) for a, r in zip(profiles, alone)))
     epochs = assemble_epochs(result, float(warmup), alone_ipc)
     return OpenRunReport(
         scheme=policy,

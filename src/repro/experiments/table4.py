@@ -60,7 +60,7 @@ class Table4Result:
 
 
 def run_table4(ctx: ExperimentContext) -> Table4Result:
-    profiles = [ctx.alone(app) for app in APPLICATIONS]
+    profiles = ctx.alone_for(list(APPLICATIONS), n_cores=ctx.config.n_cores // 2)
     ebs = sorted(p.eb_alone for p in profiles)
 
     def quantile(q: float) -> float:

@@ -361,3 +361,24 @@ class TestOneBatch:
         results = ctx.schemes(apps, ["dyncta", "dyncta"])
         assert list(results) == ["dyncta"]
         assert len(runs) == 1
+
+    def test_the_zoo_is_profiled_in_one_batch(self, tmp_path, monkeypatch):
+        """Table IV alone-profiles all 26 applications in one batch, into
+        the store entries and rows one ``alone`` call per application
+        gives."""
+        from repro.experiments.table4 import run_table4
+        from repro.workloads.table4 import APPLICATIONS
+
+        batches = self._count_batches(monkeypatch)
+        rows = run_table4(self._context(tmp_path / "batched", 2)).rows
+        assert len(batches) == 1
+        assert len(batches[0]) == len(APPLICATIONS) * len(TLP_LEVELS)
+
+        reference = self._context(tmp_path / "per-app", 1)
+        profiles = [reference.alone(app) for app in APPLICATIONS]
+        assert [(r.abbr, r.best_tlp, r.ipc, r.eb) for r in rows] == [
+            (p.abbr, p.best_tlp, p.ipc_alone, p.eb_alone) for p in profiles]
+        stores = [{p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+                  for side in ("batched", "per-app")]
+        assert stores[0] == stores[1]
+        assert len(stores[0]) == len(APPLICATIONS)
