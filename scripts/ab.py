@@ -5,18 +5,23 @@ Usage::
 
     python scripts/ab.py BASE_REF WORKLOAD [SEED]
 
-Exports ``BASE_REF`` with ``git archive`` into a temporary directory and
-runs ``perfbench/run.py --trace 0`` for ``WORKLOAD`` on that export and
-on the working tree, for ``PAIRS`` pairs at ``SEED`` (default 1).  Each run
-lasts ``run_seconds`` of ``BENCHMARK.json``, and the pairs alternate
-which side runs first, so a drift in the host's speed falls on both.
+Exports ``BASE_REF`` and the working tree's tracked files (through
+``git stash create``, which changes neither the tree nor the stash list)
+with ``git archive`` into a temporary directory each, and runs
+``perfbench/run.py --trace 0`` for ``WORKLOAD`` on both exports, for
+``PAIRS`` pairs at ``SEED`` (default 1).  Both sides start from the same
+kind of fresh tree, with no ``__pycache__``; an untracked file is in
+neither, so ``git add`` a new one first.  Each run lasts ``run_seconds``
+of ``BENCHMARK.json``, and the pairs alternate which side runs first, so
+a drift in the host's speed falls on both.
 
 It prints, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the number of pairs the working tree won,
 and whether its median is better than the base's by more than the
 base's quartile spread.  It appends one entry to ``BENCH_ab.json``:
-both revisions and their ``src/`` digests, the host, Python, nproc,
-workload, seeds, and every pair's values.
+both revisions and their ``src/`` digests, whether the working tree
+differed from HEAD (not counting ``BENCH_ab.json`` itself), the host,
+Python, nproc, workload, seeds, and every pair's values.
 """
 
 from __future__ import annotations
@@ -98,13 +103,15 @@ def main(argv: list[str]) -> int:
     metrics = spec["end_to_end"]
     base_rev = git("rev-parse", "--short=12", ref)
     head_rev = git("rev-parse", "--short=12", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no",
+                     "--", ".", f":(exclude){LEDGER.name}"))
 
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     pairs = []
     try:
-        export(ref, scratch)
-        trees = {"base": scratch, "head": ROOT}
+        trees = {"base": scratch / "base", "head": scratch / "head"}
+        export(ref, trees["base"])
+        export(git("stash", "create") or "HEAD", trees["head"])
         for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             runs = {side: bench(trees[side], workload, seed, seconds) for side in order}

@@ -6,7 +6,8 @@ cached is parsed only if a rule needs its tree), and the file's *layer
 identity* (dotted module name under ``src/``, or its
 ``tests``/``scripts``/``benchmarks`` role), by which the single-file
 rules scope themselves.  A :class:`ProjectContext` wraps the whole
-batch the rules check.
+batch the rules check, and the rules of the pass, which decide whose
+trees outlive their summaries.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import ast
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.devtools.suppressions import expand_to_statements, scan_noqa
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.devtools.registry import LintRule
 
 __all__ = ["FileContext", "ProjectContext", "module_name_for"]
 
@@ -127,6 +132,15 @@ class ProjectContext:
 
     root: Path  #: project root (directory holding ``pyproject.toml``)
     files: list[FileContext] = field(default_factory=list)
+    #: the pass's rules (``None`` outside a pass, which keeps every tree)
+    rules: list[LintRule] | None = None
+
+    def keeps_tree(self, module: str | None) -> bool:
+        """Whether ``module``'s parse tree outlives its summary: a rule
+        of the pass reads it."""
+        return self.rules is None or any(
+            rule.reads_tree(module) for rule in self.rules
+        )
 
     def file_for(self, relpath: str) -> FileContext | None:
         """The batch's context for ``relpath``, parsing from disk if the

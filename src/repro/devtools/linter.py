@@ -135,6 +135,18 @@ def changed_files(root: Path, ref: str = "HEAD") -> set[str]:
     return changed
 
 
+def _unparseable(relpath: str, exc: Exception) -> Finding:
+    """The E999 finding of a file that cannot be read or parsed."""
+    return Finding(
+        rule="E999",
+        severity=Severity.ERROR,
+        path=relpath,
+        line=getattr(exc, "lineno", None) or 1,
+        col=(getattr(exc, "offset", None) or 1) - 1,
+        message=f"cannot parse: {exc.__class__.__name__}: {exc}",
+    )
+
+
 def lint_paths(
     paths: Sequence[str | Path],
     *,
@@ -142,19 +154,19 @@ def lint_paths(
     select: Sequence[str] | None = None,
     semantic_cache: bool = True,
     changed: set[str] | None = None,
-    jobs: int | None = None,
     _project_out: list[ProjectContext] | None = None,
 ) -> list[Finding]:
     """Lint ``paths`` (files or directories), returning sorted findings.
 
     Every rule reads the batch's file summaries, which the lint cache
     (``<root>/.lint-cache/``; off with ``semantic_cache=False``) keeps by
-    content digest, so a cached file is parsed only if a rule needs its
-    tree (R009, the units pass) or a finding its ``noqa`` extents.
-    ``changed`` narrows the *report* to those repo-relative paths; the
-    rules still see the whole batch.  ``jobs`` parallelizes
-    summarization (same findings).  ``_project_out`` receives the built
-    :class:`ProjectContext`, so ``--graph`` reuses its memoized graph.
+    content digest.  A file without a cached summary is parsed once, to
+    summarize it, and its tree is kept only if a selected rule reads it
+    (R009, the units pass); a file is parsed again only if a finding
+    needs its ``noqa`` extents.  ``changed`` narrows the *report* to
+    those repo-relative paths; the rules still see the whole batch.
+    ``_project_out`` receives the built :class:`ProjectContext`, so
+    ``--graph`` reuses its memoized graph.
     """
     # A batch builds parse trees and summaries that hold no reference
     # cycles, so a collection in it would traverse them all and free
@@ -165,18 +177,19 @@ def lint_paths(
     try:
         # Imported here: ``repro.cli`` imports this module for every command,
         # and the semantic package otherwise loads with the rules.
-        from repro.devtools.semantic.graph import analysis_cache_for, cache_key
+        from repro.devtools.semantic.graph import (
+            analysis_cache_for,
+            graph_for_project,
+        )
 
         path_objs = [Path(p) for p in paths]
         if root is None:
             root = find_root(path_objs[0] if path_objs else Path.cwd())
         rules = all_rules(select)
 
-        project = ProjectContext(root=root)
+        project = ProjectContext(root=root, rules=rules)
         if not semantic_cache:
             project.semantic_cache_path = None  # type: ignore[attr-defined]
-        if jobs is not None:
-            project.semantic_jobs = jobs  # type: ignore[attr-defined]
         if _project_out is not None:
             _project_out.append(project)
         cache = analysis_cache_for(project)
@@ -193,28 +206,23 @@ def lint_paths(
                 ctx = FileContext(
                     path=path, relpath=Path(relpath), source=path.read_text()
                 )
-                if cache is None or cache_key(ctx) not in cache:
-                    # Not summarized yet: parse now, so an unparseable file
-                    # is reported on every run and never reaches the rules.
-                    ctx.tree
-            except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            except (UnicodeDecodeError, OSError) as exc:
                 digests[relpath] = None
                 if changed is None or relpath in changed:
-                    findings.append(Finding(
-                        rule="E999",
-                        severity=Severity.ERROR,
-                        path=relpath,
-                        line=getattr(exc, "lineno", None) or 1,
-                        col=(getattr(exc, "offset", None) or 1) - 1,
-                        message=f"cannot parse: {exc.__class__.__name__}: {exc}",
-                    ))
+                    findings.append(_unparseable(relpath, exc))
                 continue
             digests[relpath] = ctx.digest
             project.files.append(ctx)
-        # Prune before the rules run: the graph build then saves the cache
-        # once, with its new summaries.
+        # Prune before the graph build, which then saves the cache once,
+        # with its new summaries.
         if cache is not None:
             _prune(cache, root, digests)
+        # Summarize before any rule runs: the build parses each file
+        # without a cached summary, so one that does not parse is
+        # reported on every run and leaves the batch the rules see.
+        for ctx, exc in graph_for_project(project).unparsed:
+            if changed is None or str(ctx.relpath) in changed:
+                findings.append(_unparseable(str(ctx.relpath), exc))
 
         contexts = {str(ctx.relpath): ctx for ctx in project.files}
         for rule in rules:
@@ -339,15 +347,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "(git diff + untracked; REF defaults to HEAD). The rules still "
         "see the whole tree; only the report is narrowed.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallelize semantic summarization over N worker "
-        "processes (default: serial; findings are byte-identical "
-        "either way)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +412,6 @@ def run(args: argparse.Namespace) -> int:
             root=root,
             select=[],
             semantic_cache=not args.no_semantic_cache,
-            jobs=args.jobs,
             _project_out=project_out,
         )
         baseline_path, entries = update_baseline(project_out[0])
@@ -431,7 +429,6 @@ def run(args: argparse.Namespace) -> int:
             select=select,
             semantic_cache=not args.no_semantic_cache,
             changed=changed,
-            jobs=args.jobs,
             _project_out=project_out,
         )
     except ValueError as exc:  # unknown --select ids

@@ -5,7 +5,9 @@ Rules subclass :class:`LintRule` and register themselves with the
 registered rule per run and calls each one's
 :meth:`~LintRule.check_project` once, with the whole batch.  Rules that
 check one file at a time filter the batch's file summaries
-(:func:`repro.devtools.semantic.graph.file_summaries`).
+(:func:`repro.devtools.semantic.graph.file_summaries`); a rule that
+reads parse trees names their modules through
+:meth:`~LintRule.reads_tree`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ class LintRule:
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         return iter(())
+
+    def reads_tree(self, module: str | None) -> bool:
+        """Whether :meth:`check_project` reads ``module``'s parse tree.
+
+        A pass keeps a file's tree past its summary only for a rule
+        that reads it; every other tree is dropped once summarized.
+        """
+        return False
 
 
 def register(cls: type[LintRule]) -> type[LintRule]:

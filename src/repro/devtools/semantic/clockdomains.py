@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
-from repro.devtools.semantic.units import units_analysis
+from repro.devtools.semantic.units import _in_scope, units_analysis
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
@@ -45,6 +45,9 @@ class ClockDomainRule(LintRule):
         "event constructor)"
     )
     severity = Severity.ERROR
+
+    def reads_tree(self, module: str | None) -> bool:
+        return _in_scope(module)
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:

@@ -1,6 +1,6 @@
 """The project import/call graph, built from cached per-file summaries.
 
-:func:`build_graph` turns a batch of parsed files into a
+:func:`build_graph` turns a batch of files into a
 :class:`ProjectGraph`: an index of every function/method in the tree,
 an import graph between project modules, and a best-effort call graph.
 Resolution is intentionally static and conservative:
@@ -26,9 +26,9 @@ race detector polices.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -83,6 +83,9 @@ class ProjectGraph:
     #: cache statistics of the build (hits, misses)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: the batch's files that do not parse, with the error: left out of
+    #: the graph, and reported as E999 by ``lint_paths``
+    unparsed: list[tuple[FileContext, SyntaxError]] = field(default_factory=list)
 
     # -- name resolution -----------------------------------------------
 
@@ -218,14 +221,6 @@ def cache_key(ctx: "FileContext") -> str:
     return summary_key(ctx.module or str(ctx.relpath), ctx.digest)
 
 
-def _summarize_source_job(spec: tuple[str, str, str]) -> dict:
-    """Pool worker: summarize one file from raw source (picklable spec
-    ``(module, path, source)``; the AST cannot cross the pickle
-    boundary, so workers re-parse — the parse is the cheap part)."""
-    module, path, source = spec
-    return summarize_file(module, path, ast.parse(source)).to_dict()
-
-
 def _load_cached_summary(doc: object, module: str | None) -> FileSummary | None:
     """Deserialize one cached entry, treating anything malformed as a
     miss.
@@ -248,68 +243,59 @@ def _load_cached_summary(doc: object, module: str | None) -> FileSummary | None:
 def _summaries_for(
     files: "list[FileContext]",
     cache: AnalysisCache | None,
-    jobs: int | None,
-) -> tuple[list[FileSummary], int]:
-    """Every file's summary, in batch order, cache-aware, and the number
-    of cache misses (an entry that fails to load is a miss).
+    keep_tree: Callable[[str | None], bool] | None = None,
+) -> "tuple[list[FileSummary], int, list[tuple[FileContext, SyntaxError]]]":
+    """The summary of every file that parses, in batch order, cache-aware;
+    the number of files summarized (an entry that fails to load is a
+    miss); and the files that do not parse, with the error.
 
-    Cache misses fan out over :func:`repro.exec.run_jobs` when ``jobs``
-    asks for parallelism; ``run_jobs`` preserves spec order, so the
-    result (and everything derived from it) is byte-identical to the
-    serial path.
-
-    Cache discipline: workers only ever *return* summary documents —
-    every ``cache.put`` happens here in the parent, and the single
-    resulting :meth:`AnalysisCache.save` goes through the atomic
-    temp-file + replace path.  No child process holds a cache handle,
-    so a parallel run cannot interleave partial writes.
+    A miss is parsed here, once, and summarized from that tree: the
+    summary object goes to the graph and its document to the cache.
+    The tree is then dropped unless ``keep_tree(module)`` says a rule
+    reads it (no ``keep_tree`` keeps every tree); a dropped tree is
+    parsed again only if something asks for it.
     """
-    summaries: list[Any] = [None] * len(files)
-    misses: list[tuple[int, "FileContext", str]] = []
-    for i, ctx in enumerate(files):
+    summaries: list[FileSummary] = []
+    unparsed: list[tuple[FileContext, SyntaxError]] = []
+    misses = 0
+    for ctx in files:
         key = cache_key(ctx)
         if cache is not None:
             cached = _load_cached_summary(cache.get(key), ctx.module)
             if cached is not None:
-                summaries[i] = cached
+                summaries.append(cached)
                 continue
-        misses.append((i, ctx, key))
-    if jobs is not None and jobs != 1 and len(misses) > 1:
-        from repro.exec import run_jobs
-
-        specs = [
-            (ctx.module, str(ctx.relpath), ctx.source) for _, ctx, _ in misses
-        ]
-        docs = run_jobs(_summarize_source_job, specs, n_jobs=jobs)
-        for (i, _ctx, key), doc in zip(misses, docs):
-            if cache is not None:
-                cache.put(key, doc)
-            summaries[i] = FileSummary.from_dict(doc)
-    else:
-        for i, ctx, key in misses:
-            summary = summarize_file(ctx.module, str(ctx.relpath), ctx.tree)
-            if cache is not None:
-                cache.put(key, summary.to_dict())
-            summaries[i] = summary
-    return summaries, len(misses)
+        try:
+            tree = ctx.tree
+        except SyntaxError as exc:
+            unparsed.append((ctx, exc))
+            continue
+        summary = summarize_file(ctx.module, str(ctx.relpath), tree)
+        if keep_tree is not None and not keep_tree(ctx.module):
+            del ctx.tree  # empties the cached property's slot
+        if cache is not None:
+            cache.put(key, summary.to_dict())
+        summaries.append(summary)
+        misses += 1
+    return summaries, misses, unparsed
 
 
 def build_graph(
     files: "list[FileContext]",
     cache: AnalysisCache | None = None,
-    jobs: int | None = None,
+    keep_tree: Callable[[str | None], bool] | None = None,
 ) -> ProjectGraph:
-    """Build the :class:`ProjectGraph` for a batch of parsed files.
+    """Build the :class:`ProjectGraph` for a batch of files.
 
     Every file is summarized, but files outside the module roots (no
     layer identity) stay out of the module index and the call graph;
     test files participate so worker functions defined in tests resolve,
-    but nothing forces them to.  ``jobs`` parallelizes summarization of
-    cache misses (summaries are picklable JSON); findings built from
-    the graph stay byte-identical to a serial build.
+    but nothing forces them to.  A file that does not parse goes to
+    :attr:`ProjectGraph.unparsed` instead; ``keep_tree`` is
+    :func:`_summaries_for`'s.
     """
     graph = ProjectGraph()
-    graph.files, misses = _summaries_for(files, cache, jobs)
+    graph.files, misses, graph.unparsed = _summaries_for(files, cache, keep_tree)
     for summary in graph.files:
         if summary.module is None:
             continue
@@ -319,7 +305,7 @@ def build_graph(
             graph.functions[key] = info
             graph.paths[key] = summary.path
     if cache is not None:
-        graph.cache_hits, graph.cache_misses = len(files) - misses, misses
+        graph.cache_hits, graph.cache_misses = len(graph.files) - misses, misses
         cache.save()
 
     # Resolve call edges and worker registrations.
@@ -382,13 +368,20 @@ def graph_for_project(project: Any) -> ProjectGraph:
     Both project-scoped semantic rules and the ``--graph`` dump need the
     graph; building it twice would double the parse work, so the first
     caller stashes it on the :class:`~repro.devtools.context
-    .ProjectContext`.
+    .ProjectContext`.  The build keeps the trees the project's rules
+    read (:meth:`~repro.devtools.context.ProjectContext.keeps_tree`) and
+    takes the files that do not parse out of ``project.files``, so the
+    rules never see them.
     """
     cached = getattr(project, "_semantic_graph", None)
     if cached is not None:
         return cached
-    jobs = getattr(project, "semantic_jobs", None)
-    graph = build_graph(project.files, analysis_cache_for(project), jobs=jobs)
+    graph = build_graph(
+        project.files, analysis_cache_for(project), project.keeps_tree
+    )
+    if graph.unparsed:
+        unparsed = {ctx for ctx, _ in graph.unparsed}
+        project.files = [ctx for ctx in project.files if ctx not in unparsed]
     project._semantic_graph = graph
     return graph
 

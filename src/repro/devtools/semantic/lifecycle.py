@@ -749,6 +749,9 @@ class LifecycleRule(LintRule):
     )
     severity = Severity.ERROR
 
+    def reads_tree(self, module: str | None) -> bool:
+        return module == ENGINE_MODULE
+
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for ctx in project.files:
             if ctx.module == ENGINE_MODULE:

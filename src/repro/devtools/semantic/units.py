@@ -1104,6 +1104,9 @@ class UnitConfusionRule(LintRule):
     )
     severity = Severity.ERROR
 
+    def reads_tree(self, module: str | None) -> bool:
+        return _in_scope(module)
+
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:
             if uf.kind != "unit":

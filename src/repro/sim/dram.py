@@ -47,8 +47,7 @@ class DRAMRequest:
     """
 
     __slots__ = (
-        "line_addr", "app_id", "bank", "row", "enqueue_time", "callback",
-        "row_hit",
+        "line_addr", "app_id", "bank", "row", "callback", "row_hit",
     )
 
     def __init__(
@@ -57,14 +56,12 @@ class DRAMRequest:
         app_id: int,
         bank: int,
         row: int,
-        enqueue_time: Cycles,
         callback: Callable[["DRAMRequest", float], None],
     ) -> None:
         self.line_addr = line_addr
         self.app_id = app_id
         self.bank = bank
         self.row = row
-        self.enqueue_time = enqueue_time
         self.callback = callback
         self.row_hit = False
 

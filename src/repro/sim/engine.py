@@ -984,13 +984,10 @@ class Simulator:
                 req.app_id = app_id
                 req.bank = bank
                 req.row = row
-                req.enqueue_time = now
                 req.callback = self._dram_cb[channel]
                 req.row_hit = False
             else:
-                req = DRAMRequest(
-                    line, app_id, bank, row, now, self._dram_cb[channel]
-                )
+                req = DRAMRequest(line, app_id, bank, row, self._dram_cb[channel])
             # Inlined DRAMChannel.enqueue (capacity already checked).
             queue.append(req)
             self._txn_pool.append(txn)
@@ -1182,13 +1179,10 @@ class Simulator:
             req.app_id = txn.app_id
             req.bank = bank
             req.row = row
-            req.enqueue_time = now
             req.callback = self._dram_cb[channel]
             req.row_hit = False
         else:
-            req = DRAMRequest(
-                line, txn.app_id, bank, row, now, self._dram_cb[channel]
-            )
+            req = DRAMRequest(line, txn.app_id, bank, row, self._dram_cb[channel])
         chan.enqueue(req, now)
         self._txn_pool.append(txn)
 

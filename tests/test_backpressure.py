@@ -56,7 +56,7 @@ class TestDRAMQueueBound:
         channel = DRAMChannel(0, cfg, AddressMap.from_config(cfg), events)
 
         def req(i):
-            return DRAMRequest(i * 128, 0, 0, 0, 0.0, lambda r, t: None)
+            return DRAMRequest(i * 128, 0, 0, 0, lambda r, t: None)
 
         channel.enqueue(req(0), 0.0)
         channel.enqueue(req(1), 0.0)

@@ -24,7 +24,6 @@ class Harness:
             app_id=0,
             bank=bank,
             row=row,
-            enqueue_time=self.events.now,
             callback=lambda req, t: self.done.append((req.line_addr, t, req.row_hit)),
         )
 

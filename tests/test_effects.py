@@ -5,9 +5,8 @@ Covers the summary effect events (stream classification, context
 flags), transitive propagation over the call graph (including
 constructor edges and the telemetry boundary), the three rules on
 known-bad/known-clean fixture trees, the noqa-justification convention,
-the R016 baseline ratchet, serial-vs-``--jobs`` byte identity, the
-AnalysisCache corrupt-entry hardening, the ``effects_graph.json``
-artifact, and the real-tree mutation gates: a ``time.time()`` seed
+the R016 baseline ratchet, the AnalysisCache corrupt-entry hardening,
+the ``effects_graph.json`` artifact, and the real-tree mutation gates: a ``time.time()`` seed
 injected into ``experiments/common.py`` trips R014 through two call
 hops, a set-iteration draw in ``arrivals.py`` trips R015, an env read
 reachable from ``_fingerprint`` trips R016, a ``perf_counter()`` read
@@ -29,7 +28,6 @@ import pytest
 from repro.devtools import Finding, lint_paths
 from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.linter import main
-from repro.devtools.semantic.cache import AnalysisCache, content_digest
 from repro.devtools.semantic.effects import (
     BASELINE_RELPATH,
     DrawOrderRule,
@@ -50,8 +48,7 @@ DRAM_PATH = REPO_ROOT / "src" / "repro" / "sim" / "dram.py"
 SYNTHETIC_PATH = REPO_ROOT / "src" / "repro" / "workloads" / "synthetic.py"
 
 
-def lint_tree(tmp_path: Path, files: dict[str, str], select=None,
-              jobs=None) -> list[Finding]:
+def lint_tree(tmp_path: Path, files: dict[str, str], select=None) -> list[Finding]:
     for relpath, content in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -59,7 +56,6 @@ def lint_tree(tmp_path: Path, files: dict[str, str], select=None,
     (tmp_path / "pyproject.toml").touch()
     return lint_paths(
         [tmp_path], root=tmp_path, select=select, semantic_cache=False,
-        jobs=jobs,
     )
 
 
@@ -486,45 +482,6 @@ class TestR016:
         assert lint_tree(tmp_path, files, select=["R016"]) == []
 
 
-# --- serial vs --jobs byte identity ------------------------------------------
-
-
-class TestSerialVsJobs:
-    def test_effects_findings_byte_identical(self, tmp_path):
-        rules = ["R001", "R010", "R014", "R015", "R016"]
-        files = {
-            **TestR014._FILES,
-            **_FPRINT_FILES,
-            "src/repro/workloads/gen.py": (
-                "import random\n"
-                "def build(seed, ids):\n"
-                "    rng = random.Random(seed)\n"
-                "    return [rng.random() for i in set(ids)]\n"
-            ),
-            "src/repro/exec/pool.py": (
-                "def run_jobs(worker, specs, n_jobs=None):\n"
-                "    return [worker(s) for s in specs]\n"
-            ),
-            "src/repro/exec/sweep.py": (
-                "from repro.exec.pool import run_jobs\n"
-                "_SEEN = []\n"
-                "def worker(spec):\n"
-                "    _SEEN.append(spec)\n"
-                "    return spec\n"
-                "def sweep(specs):\n"
-                "    return run_jobs(worker, specs)\n"
-            ),
-        }
-        serial = lint_tree(tmp_path, files, select=rules)
-        pooled = lint_paths(
-            [tmp_path], root=tmp_path, select=rules,
-            semantic_cache=False, jobs=2,
-        )
-        assert serial  # non-vacuous: every rule family fires
-        assert {f.rule for f in serial} == set(rules)
-        assert [f.render() for f in serial] == [f.render() for f in pooled]
-
-
 # --- satellite: cache hardening ----------------------------------------------
 
 
@@ -545,7 +502,7 @@ class TestCacheHardening:
             is None
         )
 
-    def test_corrupt_entries_never_survive_parallel_run(self, tmp_path):
+    def test_corrupt_entries_never_survive_a_run(self, tmp_path):
         files = {
             "src/repro/util.py": _CLOCK_HELPER,
             "src/repro/sim/step.py": TestR014._FILES["src/repro/sim/step.py"],
@@ -562,14 +519,14 @@ class TestCacheHardening:
             path.write_text(content)
         (tmp_path / "pyproject.toml").touch()
 
-        def run(jobs):
+        def run():
             return lint_paths(
                 [tmp_path], root=tmp_path,
                 select=["R014", "R015", "R016"],
-                semantic_cache=True, jobs=jobs,
+                semantic_cache=True,
             )
 
-        baseline = run(jobs=2)
+        baseline = run()
         assert baseline  # the fixture actually produces findings
         cache_path = tmp_path / ".lint-cache" / "semantic.json"
         doc = json.loads(cache_path.read_text())
@@ -582,7 +539,7 @@ class TestCacheHardening:
             doc["entries"][digests[-1]] = {"module": full.get("module")}
         cache_path.write_text(json.dumps(doc))
 
-        again = run(jobs=2)
+        again = run()
         assert [f.render() for f in again] == [
             f.render() for f in baseline
         ]
@@ -594,21 +551,6 @@ class TestCacheHardening:
             assert (
                 _load_cached_summary(entry, entry["module"]) is not None
             ), f"unhealed cache entry {digest}"
-
-    def test_workers_never_write_the_cache(self, tmp_path):
-        # Structural guarantee behind the single-writer fold: the spec
-        # shipped to pool workers carries no cache handle, and the
-        # worker returns a plain dict for the parent to fold in.
-        from repro.devtools.semantic.graph import _summarize_source_job
-
-        doc = _summarize_source_job(
-            ("repro.x", "src/repro/x.py", "def f():\n    return 1\n")
-        )
-        assert isinstance(doc, dict) and doc["module"] == "repro.x"
-        cache = AnalysisCache(tmp_path / "c.json", versions={"v": 1})
-        cache.put(content_digest("src"), doc)
-        cache.save()
-        assert json.loads((tmp_path / "c.json").read_text())["entries"]
 
 
 # --- real-tree mutation gates -------------------------------------------------

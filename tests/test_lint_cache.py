@@ -4,10 +4,11 @@ trees parsed on demand, and summaries that survive subset runs.
 A warm ``lint_paths`` must return exactly what a cold or an uncached
 run returns, while summarizing nothing and parsing only the trees a
 rule reads (R009, the units pass) or a finding's ``noqa`` extents
-need.  The fixture makes every single-file rule fire once, next to a
-``# repro: noqa`` twin it must keep suppressed, and adds an unparseable
-file and whole-program findings (one suppressed over a multi-line
-statement).
+need.  A cold run parses each file once and ends holding the same
+trees: the rest are dropped once summarized.  The fixture makes every
+single-file rule fire once, next to a ``# repro: noqa`` twin it must
+keep suppressed, and adds an unparseable file and whole-program
+findings (one suppressed over a multi-line statement).
 
 A pass runs without the cyclic collector, writes the cache through the
 C encoder one entry at a time, and scans for statements without walking
@@ -124,12 +125,16 @@ FILE_RULES = {"R002", "R004", "R005", "R006", "R007", "R008", "R009", "R011"}
 UNIT_FILES = {"src/repro/core/r7.py", "src/repro/sim/dram.py",
               "src/repro/sim/engine.py", "src/repro/sim/r1.py"}
 
-#: What a warm run parses: the units pass's modules, and the files
-#: whose findings sit next to a noqa comment (for its extents).
-WARM_PARSED = UNIT_FILES | {
+#: Files outside the units pass whose findings sit next to a noqa
+#: comment: their trees are parsed for its extents.
+NOQA_FILES = {
     "src/repro/r2.py", "src/repro/experiments/r4.py", "src/repro/r5.py",
     "src/repro/r6.py", "src/repro/exec/typed.py",
 }
+
+#: The trees a run holds at its end, cold or warm: the units pass's
+#: modules, and the noqa extents' files.
+WARM_PARSED = UNIT_FILES | NOQA_FILES
 
 
 def write_tree(root: Path, files: dict[str, str]) -> None:
@@ -207,7 +212,8 @@ class TestWarmPath:
         )
         warm, project = lint(tree)
         assert summarized == ["src/repro/r2.py"]
-        assert parsed(project) == WARM_PARSED
+        # Its new text has no noqa comment: no rule reads its tree.
+        assert parsed(project) == WARM_PARSED - {"src/repro/r2.py"}
         assert "src/repro/r2.py:2:12: R002" in "\n".join(warm)
         assert warm == lint(tree, semantic_cache=False)[0]
 
@@ -227,6 +233,45 @@ class TestWarmPath:
         full, _ = lint(tree)
         assert summarized == []
         assert full == lint(tree, semantic_cache=False)[0]
+
+    def test_cold_run_holds_only_the_trees_a_warm_one_parses(
+        self, tree, summarized
+    ):
+        _, project = lint(tree)
+        assert set(summarized) == set(FILES) - {"src/repro/broken.py"}
+        assert parsed(project) == WARM_PARSED
+        assert "src/repro/broken.py" not in {str(c.relpath) for c in project.files}
+
+    def test_cold_select_holds_only_the_noqa_extents_tree(self, tree):
+        _, project = lint(tree, select=["R002"])
+        assert parsed(project) == {"src/repro/r2.py"}
+
+    def test_cold_run_parses_each_file_once(self, tree, monkeypatch):
+        parses: dict[str, int] = {}
+
+        def probe(source, filename="<unknown>", *args, _orig=ast.parse, **kw):
+            if Path(filename).is_relative_to(tree):
+                relpath = str(Path(filename).relative_to(tree))
+                parses[relpath] = parses.get(relpath, 0) + 1
+            return _orig(source, filename, *args, **kw)
+
+        monkeypatch.setattr(ast, "parse", probe)
+        lint(tree)
+        # A noqa extent outside the units pass parses its file again.
+        assert parses == {relpath: 1 + (relpath in NOQA_FILES) for relpath in FILES}
+
+    def test_summaries_reach_the_graph_as_built(self, tree, monkeypatch):
+        built = []
+
+        def probe(module, path, tree, _orig=graph_module.summarize_file):
+            built.append(_orig(module, path, tree))
+            return built[-1]
+
+        monkeypatch.setattr(graph_module, "summarize_file", probe)
+        _, project = lint(tree)
+        graph = graph_module.graph_for_project(project)
+        assert len(built) == len(graph.files)
+        assert all(a is b for a, b in zip(built, graph.files))
 
     def test_devtools_fingerprint_change_discards_everything(
         self, tree, summarized, monkeypatch

@@ -7,9 +7,8 @@ cross-clock subtraction), the clock-boundary allowlist, ``noqa``
 suppression, mutation tests that seed each bug class into the *real*
 ``repro.metrics.bandwidth`` source and assert the finding lands at the
 right file:line, the ``units_graph.json`` artifact, the per-analysis
-cache-version fingerprint, the ``--jobs`` parallel path (byte-identical
-findings), the ``--changed`` git narrowing, and the repo-level gate
-that the shipped tree is unit-clean.
+cache-version fingerprint, the ``--changed`` git narrowing, and the
+repo-level gate that the shipped tree is unit-clean.
 """
 
 from __future__ import annotations
@@ -358,35 +357,6 @@ class TestAnalysisVersionFingerprint:
         assert bumped.get("digest") is None
         added = AnalysisCache(path, versions={"units": 1, "clockdomains": 1})
         assert added.get("digest") is None
-
-
-# --- parallel summarization ---------------------------------------------------
-
-
-class TestParallelSummarization:
-    def test_jobs_findings_identical_to_serial(self, tmp_path):
-        files = {}
-        for i in range(6):
-            files[f"src/repro/sim/m{i}.py"] = (
-                "from repro.units import Bytes, Lines\n"
-                f"def f{i}(b: Bytes, ln: Lines) -> Bytes:\n"
-                "    return b + ln\n"
-            )
-        for relpath, content in files.items():
-            path = tmp_path / relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content)
-        (tmp_path / "pyproject.toml").touch()
-        serial = lint_paths(
-            [tmp_path], root=tmp_path, select=["R012", "R013"],
-            semantic_cache=False,
-        )
-        parallel = lint_paths(
-            [tmp_path], root=tmp_path, select=["R012", "R013"],
-            semantic_cache=False, jobs=2,
-        )
-        assert serial, "fixture should produce findings"
-        assert [f.render() for f in parallel] == [f.render() for f in serial]
 
 
 # --- git-aware incremental linting --------------------------------------------
