@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -51,29 +52,44 @@ def find_root(start: Path) -> Path:
     return base
 
 
+def _walk_python_files(top: str) -> list[str]:
+    """The ``.py`` entries under directory ``top``, in the order of
+    ``sorted(Path(top).rglob("*.py"))``: by path parts, so ``a/x.py``
+    comes before ``a-b/x.py``.  Like ``rglob``, the walk does not enter
+    symlinked directories; unlike it, it never enters :data:`_SKIP_DIRS`."""
+    found: list[tuple[list[str], str]] = []
+    prefix = len(os.path.join(top, ""))
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d not in _SKIP_DIRS]
+        rel = dirpath[prefix:].split(os.sep) if dirpath != top else []
+        for name in (*dirnames, *filenames):
+            if name.endswith(".py"):
+                found.append(([*rel, name], os.path.join(dirpath, name)))
+    found.sort(key=lambda item: item[0])
+    return [path for _, path in found]
+
+
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:
-    """The ``.py`` files under ``paths``, skipping :data:`_SKIP_DIRS`
-    below each walked directory (not above it: a checkout may live under
-    a directory called ``results``)."""
+    """The ``.py`` files under ``paths``, resolved, each once, in the
+    order they are first met; :data:`_SKIP_DIRS` are skipped below each
+    walked directory (not above it: a checkout may live under a
+    directory called ``results``)."""
     files: list[Path] = []
+    seen: set[str] = set()
     for path in paths:
         if path.is_dir():
-            files.extend(
-                p
-                for p in sorted(path.rglob("*.py"))
-                if _SKIP_DIRS.isdisjoint(p.relative_to(path).parts)
-            )
+            found = _walk_python_files(str(path))
         elif path.suffix == ".py":
-            files.append(path)
-    # De-duplicate while preserving order (overlapping path arguments).
-    seen: set[Path] = set()
-    unique = []
-    for p in files:
-        rp = p.resolve()
-        if rp not in seen:
-            seen.add(rp)
-            unique.append(p)
-    return unique
+            found = [str(path)]
+        else:
+            continue
+        for name in found:
+            # Overlapping path arguments name a file twice.
+            resolved = os.path.realpath(name)
+            if resolved not in seen:
+                seen.add(resolved)
+                files.append(Path(resolved))
+    return files
 
 
 def _prune(cache: AnalysisCache, root: Path, digests: dict[str, str | None]) -> None:
@@ -147,6 +163,20 @@ def _unparseable(relpath: str, exc: Exception) -> Finding:
     )
 
 
+def _unsuppressed(finding: Finding, owner: FileContext) -> list[Finding]:
+    """``finding``, unless a ``# repro: noqa`` in ``owner`` suppresses it.
+
+    Statement extents only add suppressions to lines after a noqa
+    comment, so the tree is parsed for them only when the comment scan
+    leaves the finding standing and an earlier line carries a noqa.
+    """
+    suppressions, justifications = owner.noqa
+    kept = filter_suppressed([finding], suppressions, justifications)
+    if kept and any(line < finding.line for line in suppressions):
+        kept = filter_suppressed(kept, *owner.noqa_extents)
+    return kept
+
+
 def lint_paths(
     paths: Sequence[str | Path],
     *,
@@ -160,11 +190,15 @@ def lint_paths(
 
     Every rule reads the batch's file summaries, which the lint cache
     (``<root>/.lint-cache/``; off with ``semantic_cache=False``) keeps by
-    content digest.  A file without a cached summary is parsed once, to
-    summarize it, and its tree is kept only if a selected rule reads it
-    (R009, the units pass); a file is parsed again only if a finding
-    needs its ``noqa`` extents.  ``changed`` narrows the *report* to
-    those repo-relative paths; the rules still see the whole batch.
+    content digest, beside the results of R009 and the units pass, kept
+    by the digest of their inputs.  A file without a cached summary is
+    parsed once, to summarize it, and its tree is kept only if a
+    selected rule reads it (R009, the units pass); a tree is parsed
+    again only if such a rule's result is not cached, or a finding needs
+    the ``noqa`` extents of its statement.  So a pass over files
+    unchanged since the last one parses none of them unless a finding
+    needs an extent.  ``changed`` narrows the *report* to those
+    repo-relative paths; the rules still see the whole batch.
     ``_project_out`` receives the built :class:`ProjectContext`, so
     ``--graph`` reuses its memoized graph.
     """
@@ -197,7 +231,6 @@ def lint_paths(
         findings: list[Finding] = []
         digests: dict[str, str | None] = {}
         for path in iter_python_files(path_objs):
-            path = path.resolve()
             try:
                 relpath = str(path.relative_to(root))
             except ValueError:
@@ -213,8 +246,6 @@ def lint_paths(
                 continue
             digests[relpath] = ctx.digest
             project.files.append(ctx)
-        # Prune before the graph build, which then saves the cache once,
-        # with its new summaries.
         if cache is not None:
             _prune(cache, root, digests)
         # Summarize before any rule runs: the build parses each file
@@ -233,10 +264,12 @@ def lint_paths(
                 if owner is None:
                     findings.append(finding)
                 else:
-                    findings.extend(filter_suppressed([finding], *owner.noqa_extents))
+                    findings.extend(_unsuppressed(finding, owner))
 
         if cache is not None:
-            cache.save()  # a no-op when nothing changed, or the graph saved
+            # The pass's one write: new summaries and results together,
+            # and none when nothing changed.
+            cache.save()
         return sorted(findings, key=Finding.sort_key)
     finally:
         if collecting:

@@ -292,7 +292,9 @@ def build_graph(
     test files participate so worker functions defined in tests resolve,
     but nothing forces them to.  A file that does not parse goes to
     :attr:`ProjectGraph.unparsed` instead; ``keep_tree`` is
-    :func:`_summaries_for`'s.
+    :func:`_summaries_for`'s.  New summaries go into ``cache`` but are
+    not saved: its owner saves once, after the analyses that store
+    results in it.
     """
     graph = ProjectGraph()
     graph.files, misses, graph.unparsed = _summaries_for(files, cache, keep_tree)
@@ -306,7 +308,6 @@ def build_graph(
             graph.paths[key] = summary.path
     if cache is not None:
         graph.cache_hits, graph.cache_misses = len(graph.files) - misses, misses
-        cache.save()
 
     # Resolve call edges and worker registrations.
     for mod, summary in graph.modules.items():
@@ -345,8 +346,9 @@ def build_graph(
 def analysis_cache_for(project: Any) -> AnalysisCache | None:
     """The one :class:`AnalysisCache` of a lint invocation, loaded on
     first use and stashed on the :class:`~repro.devtools.context
-    .ProjectContext`, so the linter's pruning and the graph's summaries
-    share one load and one save.  ``semantic_cache_path``,
+    .ProjectContext`, so the linter's pruning, the graph's summaries and
+    the analyses' results share one load and one save.
+    ``semantic_cache_path``,
     when set before first use, overrides ``<root>/.lint-cache/``
     (``None`` disables the cache, for ``--no-semantic-cache``).
     """

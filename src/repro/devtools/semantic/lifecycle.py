@@ -57,6 +57,8 @@ from typing import Any, Iterator
 from repro.devtools.context import ProjectContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
+from repro.devtools.semantic.cache import inputs_digest
+from repro.devtools.semantic.graph import analysis_cache_for
 from repro.devtools.semantic.summary import iter_statements
 
 __all__ = ["EngineAnalysis", "analyze_engine", "LifecycleRule"]
@@ -753,7 +755,20 @@ class LifecycleRule(LintRule):
         return module == ENGINE_MODULE
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        cache = analysis_cache_for(project)
         for ctx in project.files:
-            if ctx.module == ENGINE_MODULE:
-                for line, col, message in analyze_engine(ctx.tree).findings:
-                    yield self.at(str(ctx.relpath), line, message, col=col)
+            if ctx.module != ENGINE_MODULE:
+                continue
+            # The findings depend on the engine's text alone: a pass
+            # over an unchanged engine replays them without parsing it.
+            inputs = inputs_digest((str(ctx.relpath), ctx.digest))
+            found = (
+                cache.result(self.id, inputs, (int, int, str))
+                if cache is not None else None
+            )
+            if found is None:
+                found = analyze_engine(ctx.tree).findings
+                if cache is not None:
+                    cache.put_result(self.id, inputs, found)
+            for line, col, message in found:
+                yield self.at(str(ctx.relpath), line, message, col=col)

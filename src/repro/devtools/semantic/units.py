@@ -44,13 +44,19 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Any
 
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
-from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
+from repro.devtools.semantic.cache import inputs_digest
+from repro.devtools.semantic.graph import (
+    ProjectGraph,
+    analysis_cache_for,
+    cache_key,
+    graph_for_project,
+)
 from repro.devtools.semantic.summary import MODULE_UNIT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1066,29 +1072,57 @@ def _in_scope(module: str | None) -> bool:
     )
 
 
+#: The units pass's record in the lint cache's results, and the field
+#: types of its rows (a :class:`UnitFinding` each).
+_RESULT_NAME = "units"
+_ROW_TYPES = (str, str, int, int, str)
+
+
 def units_analysis(project: "ProjectContext") -> dict[str, Any]:
     """Run (memoized) unit inference over the project's in-scope files.
 
     Returns ``{"findings": [UnitFinding, ...], "checked": [module, ...],
     "world": UnitWorld}`` — R012 and R013 split the findings by kind,
     and ``--graph`` dumps the world.
+
+    Besides the in-scope trees, the pass reads only the summaries of
+    the graph's module index (through :class:`UnitWorld` and
+    :meth:`ProjectGraph.resolve_call`), so its findings are stored in
+    the lint cache under the path and summary key of every indexed
+    file, and a pass over unchanged files replays them unparsed.
     """
     cached = getattr(project, "_units_analysis", None)
     if cached is not None:
         return cached
     graph = graph_for_project(project)
     world = UnitWorld(graph)
-    findings: list[UnitFinding] = []
-    checked: list[str] = []
     contexts = [
         ctx for ctx in project.files if _in_scope(ctx.module)
     ]
     contexts.sort(key=lambda ctx: str(ctx.relpath))
-    for ctx in contexts:
-        checker = _Checker(world, ctx.module, str(ctx.relpath), findings)
-        checker.check_module(ctx.tree)
-        checked.append(ctx.module)
-    result = {"findings": findings, "checked": checked, "world": world}
+    cache = analysis_cache_for(project)
+    inputs = rows = None
+    if cache is not None:
+        inputs = inputs_digest(
+            f"{ctx.relpath}\0{cache_key(ctx)}"
+            for ctx in project.files
+            if ctx.module is not None
+        )
+        rows = cache.result(_RESULT_NAME, inputs, _ROW_TYPES)
+    if rows is not None and all(row[0] in ("unit", "clock") for row in rows):
+        findings = [UnitFinding(*row) for row in rows]
+    else:
+        findings = []
+        for ctx in contexts:
+            checker = _Checker(world, ctx.module, str(ctx.relpath), findings)
+            checker.check_module(ctx.tree)
+        if cache is not None:
+            cache.put_result(_RESULT_NAME, inputs, map(astuple, findings))
+    result = {
+        "findings": findings,
+        "checked": [ctx.module for ctx in contexts],
+        "world": world,
+    }
     project._units_analysis = result
     return result
 

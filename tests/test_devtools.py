@@ -8,13 +8,14 @@ repo-level gate that the real tree lints clean.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.devtools import Finding, Severity, all_rules, lint_paths
 from repro.devtools.context import module_name_for
-from repro.devtools.linter import DEFAULT_PATHS, main
+from repro.devtools.linter import DEFAULT_PATHS, iter_python_files, main
 from repro.devtools.suppressions import filter_suppressed, scan_noqa
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,58 @@ class TestFramework:
         assert findings[0].severity is Severity.ERROR
 
 
+class TestFileDiscovery:
+    """One walk per path argument, pruned below it, each file resolved
+    once: the files and order of ``sorted(path.rglob("*.py"))`` minus
+    the skipped directories, deduplicated across arguments."""
+
+    FILES = (
+        "a/x.py", "a/y/z.py", "a-b/x.py", "a.py", "b/__init__.py", "b/n.txt",
+        "a/__pycache__/x.py", "b/results/r.py", "b/.git/g.py",
+    )
+
+    @pytest.fixture
+    def root(self, tmp_path) -> Path:
+        for relpath in self.FILES:
+            (tmp_path / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relpath).write_text("x = 1\n")
+        return tmp_path
+
+    @staticmethod
+    def rel(root: Path, files: list[Path]) -> list[str]:
+        return [p.relative_to(root).as_posix() for p in files]
+
+    def test_order_is_by_path_parts_without_skipped_dirs(self, root):
+        found = iter_python_files([root])
+        assert self.rel(root, found) == [
+            "a/x.py", "a/y/z.py", "a-b/x.py", "a.py", "b/__init__.py",
+        ]
+        assert found == [p.resolve() for p in sorted(root.rglob("*.py"))
+                         if not {"__pycache__", "results", ".git"}
+                         & set(p.relative_to(root).parts)]
+
+    def test_overlapping_arguments_name_each_file_once(self, root):
+        found = iter_python_files([root / "a" / "y" / "z.py", root / "a", root])
+        assert self.rel(root, found) == [
+            "a/y/z.py", "a/x.py", "a-b/x.py", "a.py", "b/__init__.py",
+        ]
+
+    def test_a_skipped_name_above_the_walked_path_counts_for_nothing(self, root):
+        found = iter_python_files([root / "b" / "results"])
+        assert self.rel(root, found) == ["b/results/r.py"]
+
+    def test_symlinks_resolve_and_linked_dirs_are_not_walked(self, root):
+        os.symlink(root / "a", root / "c")
+        os.symlink(root / "a" / "x.py", root / "d.py")
+        found = iter_python_files([root])
+        assert self.rel(root, found) == [
+            "a/x.py", "a/y/z.py", "a-b/x.py", "a.py", "b/__init__.py",
+        ]
+        assert self.rel(root, iter_python_files([root / "c"])) == [
+            "a/x.py", "a/y/z.py",
+        ]
+
+
 class TestSuppressions:
     def test_bare_noqa_silences_all(self, tmp_path):
         findings = lint_tree(
@@ -95,6 +148,23 @@ class TestSuppressions:
     def test_wrong_rule_id_does_not_silence(self, tmp_path):
         src = "import random\nx = random.random()  # repro: noqa[R002]\n"
         assert rules_of(lint_tree(tmp_path, {"src/repro/a.py": src})) == {"R001"}
+
+    def test_a_header_justification_reaches_its_continuation_lines(
+        self, tmp_path
+    ):
+        # R014 needs a justified noqa: its own line's has no reason, the
+        # header's does, and the statement extent lends it.
+        src = (
+            "import time\n"
+            "u = max(  # repro: noqa[R001]{}\n"
+            "    time.time(),  # repro: noqa[R014]\n"
+            "    0.0,\n"
+            ")\n"
+        )
+        path = "src/repro/sim/a.py"
+        assert lint_tree(tmp_path, {path: src.format(" -- reason")}) == []
+        found = lint_tree(tmp_path, {path: src.format("")})
+        assert [(f.rule, f.line) for f in found] == [("R014", 3)]
 
     def test_parser_units(self):
         supp, _ = scan_noqa(

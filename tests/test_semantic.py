@@ -16,6 +16,8 @@ import ast
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.devtools import Finding, lint_paths
 from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.linter import main
@@ -174,12 +176,27 @@ class TestCache:
         cache.put("d", 1)
         cache.save()  # must not raise
 
+    def test_results_are_kept_apart_from_the_hit_counts(self, tmp_path):
+        cache = AnalysisCache(tmp_path / "c.json")
+        cache.put_result("R009", "inputs", [(1, 0, "m")])
+        cache.save()
+        reloaded = AnalysisCache(tmp_path / "c.json")
+        row = (int, int, str)
+        assert reloaded.result("R009", "other inputs", row) is None
+        assert reloaded.result("units", "inputs", row) is None
+        assert reloaded.result("R009", "inputs", (int, int)) is None
+        assert reloaded.result("R009", "inputs", (str, int, str)) is None
+        assert reloaded.result("R009", "inputs", row) == [(1, 0, "m")]
+        assert (reloaded.hits, reloaded.misses, len(reloaded)) == (0, 0, 0)
+
     def test_second_build_hits_cache(self, tmp_path):
         files = {"src/repro/a.py": "def f() -> int:\n    return 1\n"}
         project = contexts_for(tmp_path, files)
         cache_path = tmp_path / "cache.json"
-        g1 = build_graph(project.files, AnalysisCache(cache_path))
+        cache = AnalysisCache(cache_path)
+        g1 = build_graph(project.files, cache)
         assert g1.cache_misses == 1
+        cache.save()  # by its owner: a lint pass saves once, at its end
         g2 = build_graph(project.files, AnalysisCache(cache_path))
         assert g2.cache_hits == 1 and g2.cache_misses == 0
         assert g2.to_dict()["functions"] == g1.to_dict()["functions"]
@@ -329,6 +346,46 @@ class TestLifecycleRule:
         assert lint_tree(tmp_path, files, select=["R009"]) == []
 
 
+_RELEASE = "        chan.enqueue(req, now)\n        self._txn_pool.append(txn)\n"
+_WALK = "                txn = nxt\n                now = txn.due\n"
+_LINK_END = "                if nxt is None:\n                    return\n"
+
+#: Lifecycle bugs seeded into the shipped engine: name -> (needle, its
+#: replacement, words of the finding R009 must report).
+ENGINE_MUTATIONS = {
+    "dropping_pool_release": (
+        "                mshr.merges += 1\n"
+        "                self._txn_pool.append(txn)\n",
+        "                mshr.merges += 1\n",
+        "leak",
+    ),
+    "use_after_release": (
+        _RELEASE, _RELEASE + "        txn.stage = _RETRY_DRAM\n",
+        "use-after-release",
+    ),
+    # The second append reads the released transaction first.
+    "double_release": (
+        _RELEASE, _RELEASE + "        self._txn_pool.append(txn)\n",
+        "use-after-release",
+    ),
+    "releasing_chain_follower": (
+        _WALK, _WALK + "                self._txn_pool.append(txn)\n",
+        "must never be released",
+    ),
+    "releasing_link_read": (
+        _LINK_END, "                self._txn_pool.append(nxt)\n" + _LINK_END,
+        "must never be released",
+    ),
+}
+
+
+def mutated_engine(name: str) -> str:
+    needle, replacement, _ = ENGINE_MUTATIONS[name]
+    source = ENGINE_PATH.read_text()
+    assert needle in source, "engine changed: update the mutation seed"
+    return source.replace(needle, replacement, 1)
+
+
 class TestLifecycleOnRealEngine:
     """The acceptance gate: the shipped engine passes; a seeded
     lifecycle mutation in ``Simulator._dispatch`` trips R009."""
@@ -343,50 +400,24 @@ class TestLifecycleOnRealEngine:
         assert analysis.transitions
 
     def test_mutation_dropping_pool_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = (
-            "                mshr.merges += 1\n"
-            "                self._txn_pool.append(txn)\n"
-        )
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle, "                mshr.merges += 1\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
+        analysis = analyze_engine(ast.parse(mutated_engine("dropping_pool_release")))
         assert any("leak" in msg for _, _, msg in analysis.findings)
 
     def test_mutation_use_after_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = "        chan.enqueue(req, now)\n        self._txn_pool.append(txn)\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle, needle + "        txn.stage = _RETRY_DRAM\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
+        analysis = analyze_engine(ast.parse(mutated_engine("use_after_release")))
         assert any("use-after-release" in msg for _, _, msg in analysis.findings)
 
     def test_mutation_double_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = "        chan.enqueue(req, now)\n        self._txn_pool.append(txn)\n"
-        mutated = source.replace(
-            needle, needle + "        self._txn_pool.append(txn)\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
+        analysis = analyze_engine(ast.parse(mutated_engine("double_release")))
         assert analysis.findings
 
     def test_mutation_releasing_chain_follower_trips(self):
         # The COMPUTE_DONE stride walk rebinds the dispatch parameter
         # (`txn = nxt`); ownership must follow the chain so releasing a
         # warp-owned follower record is still caught.
-        source = ENGINE_PATH.read_text()
-        needle = "                txn = nxt\n                now = txn.due\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle,
-            needle + "                self._txn_pool.append(txn)\n",
-            1,
+        analysis = analyze_engine(
+            ast.parse(mutated_engine("releasing_chain_follower"))
         )
-        analysis = analyze_engine(ast.parse(mutated))
         assert any(
             "must never be released" in msg
             for _, _, msg in analysis.findings
@@ -396,19 +427,31 @@ class TestLifecycleOnRealEngine:
         # Releasing the raw `.link` read (`nxt`) before the walk
         # advances is the same bug under a different name: the record
         # belongs to another warp's recurring compute transaction.
-        source = ENGINE_PATH.read_text()
-        needle = "                if nxt is None:\n                    return\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle,
-            "                self._txn_pool.append(nxt)\n" + needle,
-            1,
-        )
-        analysis = analyze_engine(ast.parse(mutated))
+        analysis = analyze_engine(ast.parse(mutated_engine("releasing_link_read")))
         assert any(
             "must never be released" in msg
             for _, _, msg in analysis.findings
         )
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_MUTATIONS))
+    def test_mutation_trips_cold_and_cached_passes(self, tmp_path, name):
+        # R009 replays its findings while the engine is unchanged: a
+        # mutation after a clean pass must trip it, and so must the
+        # replay of the record that pass stores.
+        engine = tmp_path / "src" / "repro" / "sim" / "engine.py"
+        engine.parent.mkdir(parents=True)
+        engine.write_text(ENGINE_PATH.read_text())
+        (tmp_path / "pyproject.toml").touch()
+
+        def r009() -> list[str]:
+            found = lint_paths([tmp_path / "src"], root=tmp_path, select=["R009"])
+            return [f.message for f in found]
+
+        assert r009() == []
+        engine.write_text(mutated_engine(name))
+        cold = r009()
+        assert any(ENGINE_MUTATIONS[name][2] in msg for msg in cold)
+        assert r009() == cold
 
 
 # --- R010: cross-process races ------------------------------------------------
