@@ -252,10 +252,10 @@ class _ProgressPrinter:
 
     Writes carriage-return progress to *stderr* and only when stderr is
     a terminal, so piped/redirected output never fills with ``\\r``
-    frames.  The fourth argument opts into the pool's per-job timing
-    (see :data:`repro.exec.ProgressFn`), which also feeds the jobs/sec
-    and ETA fields.  A ``done`` value at or below the previous call's
-    marks the start of a new batch and re-anchors the rate clock.
+    frames.  The fourth argument, the pool's per-job timing (see
+    :data:`repro.exec.ProgressFn`), also feeds the jobs/sec and ETA
+    fields.  A ``done`` value at or below the previous call's marks the
+    start of a new batch and re-anchors the rate clock.
     """
 
     def __init__(self, clock=time.monotonic) -> None:
@@ -264,7 +264,7 @@ class _ProgressPrinter:
         self._prev_done = 1 << 62
 
     def __call__(
-        self, done: int, total: int, spec: object, elapsed: float = 0.0
+        self, done: int, total: int, spec: object, elapsed: float
     ) -> None:
         if not sys.stderr.isatty():
             return
@@ -272,7 +272,7 @@ class _ProgressPrinter:
         if self._t0 is None or done <= self._prev_done:
             # New batch: anchor the rate clock, backdated by this job's
             # own runtime so the first frame's rate is already sane.
-            self._t0 = mark - (elapsed or 0.0)
+            self._t0 = mark - elapsed
         self._prev_done = done
         tag = getattr(spec, "tag", None)
         label = " ".join(str(p) for p in tag) if tag else ""

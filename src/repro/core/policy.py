@@ -108,8 +108,8 @@ def available_policies() -> tuple[str, ...]:
 
 # --- built-in policies -----------------------------------------------------
 #
-# Module-level functions (not lambdas) so OpenSimJob specs naming them
-# pickle cleanly into pool workers.
+# Module-level functions (not lambdas) so job specs naming them pickle
+# cleanly into pool workers.
 
 
 def make_pbs_ws(n_apps: int = 2, **kwargs: object) -> "TLPController":

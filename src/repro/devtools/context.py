@@ -23,7 +23,14 @@ from repro.devtools.suppressions import expand_to_statements, scan_noqa
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.registry import LintRule
 
-__all__ = ["FileContext", "ProjectContext", "module_name_for"]
+__all__ = ["FileContext", "ProjectContext", "in_package", "module_name_for"]
+
+
+def in_package(module: str | None, *prefixes: str) -> bool:
+    """True if ``module`` is, or is under, any of the dotted ``prefixes``."""
+    return module is not None and any(
+        module == p or module.startswith(p + ".") for p in prefixes
+    )
 
 
 def module_name_for(relpath: Path) -> str | None:
@@ -117,13 +124,6 @@ class FileContext:
     def is_script(self) -> bool:
         parts = self.relpath.parts
         return bool(parts) and parts[0] in ("scripts", "benchmarks", "examples")
-
-    def in_package(self, *prefixes: str) -> bool:
-        """True if the file's module is (under) any of ``prefixes``."""
-        mod = self.module
-        if mod is None:
-            return False
-        return any(mod == p or mod.startswith(p + ".") for p in prefixes)
 
 
 @dataclass

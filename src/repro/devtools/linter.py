@@ -344,13 +344,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "current diagnostics instead of failing on drift",
     )
     parser.add_argument(
-        "--update-effects-baseline",
-        action="store_true",
-        help="rewrite the checked-in R016 fingerprint-purity baseline "
-        "(src/repro/devtools/effects_baseline.txt) to the current "
-        "impurity set and exit",
-    )
-    parser.add_argument(
         "--graph",
         action="store_true",
         help="dump the project import/call graph, the MemTxn "
@@ -435,24 +428,6 @@ def run(args: argparse.Namespace) -> int:
                 "nothing to lint"
             )
             return 0
-
-    if getattr(args, "update_effects_baseline", False):
-        from repro.devtools.semantic.effects import update_baseline
-
-        project_out = []
-        lint_paths(
-            args.paths,
-            root=root,
-            select=[],
-            semantic_cache=not args.no_semantic_cache,
-            _project_out=project_out,
-        )
-        baseline_path, entries = update_baseline(project_out[0])
-        print(
-            f"re-pinned effects baseline at {baseline_path} "
-            f"({len(entries)} entr{'y' if len(entries) == 1 else 'ies'})"
-        )
-        return 0
 
     project_out: list[ProjectContext] = []
     try:

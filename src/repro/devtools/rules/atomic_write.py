@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries
@@ -43,7 +43,7 @@ class AtomicWriteRule(LintRule):
         for ctx, summary in file_summaries(project):
             if ctx.is_test or ctx.module == _HELPER_MODULE:
                 continue
-            if not (ctx.in_package("repro") or ctx.is_script):
+            if not (in_package(ctx.module, "repro") or ctx.is_script):
                 continue
             for info in summary.functions.values():
                 for write in info.writes:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries
@@ -42,7 +42,7 @@ class FloatEqualityRule(LintRule):
         for ctx, summary in file_summaries(project):
             if ctx.is_test or ctx.module in ALLOWED_MODULES:
                 continue
-            if not (ctx.in_package("repro") or ctx.is_script):
+            if not (in_package(ctx.module, "repro") or ctx.is_script):
                 continue
             for site in summary.float_eqs:
                 extent = ast.expr(

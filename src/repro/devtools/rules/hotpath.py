@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries
@@ -74,7 +74,7 @@ class HotPathRule(LintRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for ctx, summary in file_summaries(project):
-            if ctx.is_test or not ctx.in_package(*_HOT_MODULES):
+            if ctx.is_test or not in_package(ctx.module, *_HOT_MODULES):
                 continue
             path = str(ctx.relpath)
             for site in summary.closures:

@@ -17,8 +17,7 @@ The dependency contract of the tree:
   ``repro.obs.summarize``, ``repro.obs.dashboard``): those modules sit
   *above* the simulator (they stream and render its outputs), and the
   engine's only sanctioned observability seam is the metrics registry
-  (``repro.obs.metrics``) plus the probe API, whose ``to_events()``
-  returns plain stream records.  Publishing engine self-profiling
+  (``repro.obs.metrics``).  Publishing engine self-profiling
   through the ambient metrics registry keeps profiled and unprofiled
   runs bit-identical.
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries, graph_for_project
@@ -55,24 +54,20 @@ _SIM_FORBIDDEN_OBS = (
 )
 
 
-def _under(module: str, *prefixes: str) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in prefixes)
-
-
 def _violation(module: str, consumer: bool, provider: bool) -> str | None:
     """The message for importing ``module`` from this layer, if barred."""
-    if consumer and _under(module, "repro.sim") and module != "repro.sim":
+    if consumer and in_package(module, "repro.sim") and module != "repro.sim":
         return (
             f"import of sim internal '{module}'; import from the public "
             "facade 'repro.sim' instead (add the name to the facade if it "
             "is missing)"
         )
-    if provider and _under(module, *_ABOVE_SIM):
+    if provider and in_package(module, *_ABOVE_SIM):
         return (
             f"repro.sim must not import the experiment layer ('{module}'); "
             "move the dependency up or inject it"
         )
-    if provider and _under(module, *_SIM_FORBIDDEN_OBS):
+    if provider and in_package(module, *_SIM_FORBIDDEN_OBS):
         return (
             f"repro.sim must not import '{module}': the telemetry stream "
             "consumes engine output; publish through the metrics registry "
@@ -90,8 +85,8 @@ class LayeringRule(LintRule):
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         modules = graph_for_project(project).modules
         for ctx, summary in file_summaries(project):
-            consumer = ctx.in_package(*_FACADE_CONSUMERS) or ctx.is_script
-            provider = ctx.in_package("repro.sim")
+            consumer = in_package(ctx.module, *_FACADE_CONSUMERS) or ctx.is_script
+            provider = in_package(ctx.module, "repro.sim")
             if ctx.is_test or not (consumer or provider):
                 continue
             for stmt in summary.import_stmts:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries
@@ -43,7 +43,7 @@ class NoPrintRule(LintRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for ctx, summary in file_summaries(project):
-            if ctx.is_test or not ctx.in_package(*_SILENT_LAYERS):
+            if ctx.is_test or not in_package(ctx.module, *_SILENT_LAYERS):
                 continue
             for site in summary.prints:
                 yield self.at(

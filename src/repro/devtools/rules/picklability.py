@@ -9,12 +9,11 @@ Linux where the tests run.  This rule rejects the failure statically:
 
 * the worker argument of ``run_jobs(...)`` / ``pool.submit(...)`` must
   be a module-level function (not a lambda, not a nested ``def``);
-* ``SimJob(...)`` / ``OpenSimJob(...)`` construction must not embed
-  lambdas in any field (e.g. a callable tag or progress hook smuggled
-  into a spec);
+* ``SimJob(...)`` construction must not embed lambdas in any field
+  (e.g. a callable tag or progress hook smuggled into a spec);
 * the factory registered with ``register_policy(name, factory)`` must
-  be module-level: ``OpenSimJob`` carries policies *by name* and the
-  worker rebuilds them from the registry, so a lambda or nested-def
+  be module-level: job specs carry policies *by name* and the worker
+  rebuilds them from the registry, so a lambda or nested-def
   factory would resurrect the exact failure the name indirection
   exists to avoid.
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
+from repro.devtools.context import in_package
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
-from repro.devtools.semantic.units import _in_scope, units_analysis
+from repro.devtools.semantic.units import UNIT_SCOPE, units_analysis
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
@@ -47,7 +48,7 @@ class ClockDomainRule(LintRule):
     severity = Severity.ERROR
 
     def reads_tree(self, module: str | None) -> bool:
-        return _in_scope(module)
+        return in_package(module, *UNIT_SCOPE)
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:

@@ -56,10 +56,9 @@ The rules gated on the summaries and the inference:
   control flow in the simulation layers: the exact hazard the
   fold-equivalence arguments assume away.
 * **R016 fingerprint-purity** — every function reachable from
-  config-fingerprint / cache-key computation must infer pure; accepted
-  debt lives in ``src/repro/devtools/effects_baseline.txt`` and can
-  only ratchet down (``repro lint --update-effects-baseline`` re-pins
-  it deliberately).
+  config-fingerprint / cache-key computation must infer pure; a
+  justified ``repro: noqa[R016] -- reason`` on an impure function's
+  ``def`` line accepts that one site.
 
 Telemetry boundary: the observability and pool plumbing
 (:data:`TELEMETRY_BOUNDARY`) reads clocks and environment by design —
@@ -73,9 +72,9 @@ propagates normally.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.devtools.context import in_package
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
@@ -91,13 +90,11 @@ __all__ = [
     "DRAW_KINDS",
     "IMPURE_KINDS",
     "TELEMETRY_BOUNDARY",
-    "BASELINE_RELPATH",
     "EffectWorld",
     "direct_sites",
     "effects_world_for",
     "effects_graph_doc",
     "validate_effects_graph",
-    "update_baseline",
     "DeterminismRule",
     "EffectTaintRule",
     "DrawOrderRule",
@@ -157,19 +154,9 @@ _FINGERPRINT_SUFFIXES = (
     "._alone_key",
 )
 
-#: Checked-in R016 accepted-impurity baseline, relative to the root.
-BASELINE_RELPATH = Path("src") / "repro" / "devtools" / "effects_baseline.txt"
-
-
-def _in_package(module: str, *packages: str) -> bool:
-    return any(
-        module == package or module.startswith(package + ".")
-        for package in packages
-    )
-
 
 def _in_sim_layer(module: str) -> bool:
-    return _in_package(module, *_SIM_LAYERS)
+    return in_package(module, *_SIM_LAYERS)
 
 
 def _is_fingerprint_root(key: str, module: str) -> bool:
@@ -591,43 +578,6 @@ def policy_audit(world: EffectWorld) -> list[dict[str, Any]]:
     return records
 
 
-# -- R016 baseline ratchet ---------------------------------------------------
-
-_BASELINE_HEADER = (
-    "# R016 fingerprint-purity baseline: accepted impurity entries\n"
-    "# (function-key|effect-kind), one per line.  The gate fails on any\n"
-    "# entry NOT listed here; re-pin deliberately with\n"
-    "#   repro lint --update-effects-baseline\n"
-)
-
-
-def _read_baseline(root: Path) -> set[str]:
-    path = root / BASELINE_RELPATH
-    if not path.is_file():
-        return set()
-    entries: set[str] = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return entries
-
-
-def _write_baseline(root: Path, entries: set[str]) -> Path:
-    path = root / BASELINE_RELPATH
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(f"{entry}\n" for entry in sorted(entries))
-    path.write_text(_BASELINE_HEADER + body)
-    return path
-
-
-def update_baseline(project: "ProjectContext") -> tuple[Path, set[str]]:
-    """Rewrite the checked-in baseline to the current impurity set."""
-    world = effects_world_for(project)
-    entries = set(world.purity()["entries"])
-    return _write_baseline(project.root, entries), entries
-
-
 # -- the rules ---------------------------------------------------------------
 
 
@@ -645,7 +595,7 @@ class DeterminismRule(LintRule):
         # fixtures, and scripts may time themselves with time.time().
         graph = graph_for_project(project)
         for module, summary in sorted(graph.modules.items()):
-            if not _in_package(module, "repro"):
+            if not in_package(module, "repro"):
                 continue
             in_sim_layer = _in_sim_layer(module)
             for binding in summary.random_imports:
@@ -749,16 +699,12 @@ class FingerprintPurityRule(LintRule):
     name = "fingerprint-purity"
     rationale = (
         "functions reachable from cache-key/fingerprint computation "
-        "must infer pure; accepted debt is baselined and ratchets down"
+        "must infer pure"
     )
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        world = effects_world_for(project)
-        baseline = _read_baseline(project.root)
-        purity = world.purity()
+        purity = effects_world_for(project).purity()
         for entry in sorted(purity["entries"]):
-            if entry in baseline:
-                continue
             record = purity["entries"][entry]
             yield self.at(
                 record["path"], record["line"],
@@ -766,14 +712,15 @@ class FingerprintPurityRule(LintRule):
                 "reachable from cache-key/fingerprint computation "
                 f"but has effect {record['kind']} via "
                 f"{' -> '.join(record['chain'])}; make it pure or "
-                "re-pin with --update-effects-baseline",
+                "accept it with '# repro: noqa[R016] -- reason' on "
+                "its def line",
             )
 
 
 # -- effects_graph.json ------------------------------------------------------
 
 #: Schema identifier of the ``--graph`` artifact.
-GRAPH_SCHEMA = "repro.effects_graph/v1"
+GRAPH_SCHEMA = "repro.effects_graph/v2"
 
 
 def _suppression_records(project: "ProjectContext") -> list[dict[str, Any]]:
@@ -808,8 +755,6 @@ def effects_graph_doc(project: "ProjectContext") -> dict[str, Any]:
     """The ``effects_graph.json`` document for ``repro lint --graph``."""
     world = effects_world_for(project)
     purity = world.purity()
-    baseline = _read_baseline(project.root)
-    entries = set(purity["entries"])
     functions: dict[str, Any] = {}
     for key in sorted(world.effects):
         eff = world.effects[key]
@@ -845,10 +790,7 @@ def effects_graph_doc(project: "ProjectContext") -> dict[str, Any]:
         "purity": {
             "roots": purity["roots"],
             "frontier": purity["frontier"],
-            "impure": sorted(entries),
-            "baseline": sorted(baseline),
-            "new": sorted(entries - baseline),
-            "stale": sorted(baseline - entries),
+            "impure": sorted(purity["entries"]),
         },
         "suppressions": _suppression_records(project),
     }
@@ -886,7 +828,7 @@ def validate_effects_graph(doc: Any) -> list[str]:
                     break
     purity = doc.get("purity")
     if isinstance(purity, dict):
-        for field in ("roots", "frontier", "impure", "baseline", "new"):
+        for field in ("roots", "frontier", "impure"):
             if not isinstance(purity.get(field), list):
                 problems.append(f"purity.{field} missing/invalid")
     return problems

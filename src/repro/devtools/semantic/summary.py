@@ -79,7 +79,7 @@ _WRITE_MODE_CHARS = frozenset("wax+")
 #: (first argument), every field of a job spec, or a policy factory.
 PICKLING_CALLS = {
     "run_jobs": "worker", "submit": "worker",
-    "SimJob": "field", "OpenSimJob": "field",
+    "SimJob": "field",
     "register_policy": "factory",
 }
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.devtools.context import ProjectContext
+from repro.devtools.context import ProjectContext, in_package
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import file_summaries
@@ -58,7 +58,7 @@ class TypedCoreRule(LintRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for ctx, summary in file_summaries(project):
-            if not ctx.in_package(*TYPED_PACKAGES):
+            if not in_package(ctx.module, *TYPED_PACKAGES):
                 continue
             for record in summary.untyped:
                 cls, _, name = record["qual"].rpartition(".")

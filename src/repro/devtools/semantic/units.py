@@ -48,6 +48,7 @@ from dataclasses import astuple, dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Any
 
+from repro.devtools.context import in_package
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.cache import inputs_digest
@@ -57,7 +58,7 @@ from repro.devtools.semantic.graph import (
     cache_key,
     graph_for_project,
 )
-from repro.devtools.semantic.summary import MODULE_UNIT
+from repro.devtools.semantic.summary import MODULE_UNIT, _dotted
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
@@ -484,17 +485,6 @@ class UnitWorld:
             if module in self.graph.modules:
                 return module, ".".join(parts[cut:])
         return None, key
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -1066,12 +1056,6 @@ class _Checker:
 # --------------------------------------------------------------------------
 
 
-def _in_scope(module: str | None) -> bool:
-    return module is not None and any(
-        module == p or module.startswith(p + ".") for p in UNIT_SCOPE
-    )
-
-
 #: The units pass's record in the lint cache's results, and the field
 #: types of its rows (a :class:`UnitFinding` each).
 _RESULT_NAME = "units"
@@ -1097,7 +1081,7 @@ def units_analysis(project: "ProjectContext") -> dict[str, Any]:
     graph = graph_for_project(project)
     world = UnitWorld(graph)
     contexts = [
-        ctx for ctx in project.files if _in_scope(ctx.module)
+        ctx for ctx in project.files if in_package(ctx.module, *UNIT_SCOPE)
     ]
     contexts.sort(key=lambda ctx: str(ctx.relpath))
     cache = analysis_cache_for(project)
@@ -1139,7 +1123,7 @@ class UnitConfusionRule(LintRule):
     severity = Severity.ERROR
 
     def reads_tree(self, module: str | None) -> bool:
-        return _in_scope(module)
+        return in_package(module, *UNIT_SCOPE)
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:

@@ -7,7 +7,7 @@ ordered.  See :mod:`repro.exec.pool` for the runner and
 :mod:`repro.exec.jobs` for the picklable job specs.
 """
 
-from repro.exec.jobs import OpenSimJob, SimJob, run_open_sim_job, run_sim_job
+from repro.exec.jobs import SimJob, run_sim_job
 from repro.exec.pool import (
     JOBS_ENV_VAR,
     JobError,
@@ -22,10 +22,8 @@ __all__ = [
     "JobError",
     "ProgressFn",
     "ProgressThrottle",
-    "OpenSimJob",
     "SimJob",
     "resolve_jobs",
     "run_jobs",
-    "run_open_sim_job",
     "run_sim_job",
 ]

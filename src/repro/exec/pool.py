@@ -32,16 +32,14 @@ or ``job_fail``), per-window counters, optional cProfile hot frames,
 and a metrics-registry snapshot back to the collector as it completes —
 see :mod:`repro.obs.live`.  With the default
 :class:`~repro.obs.live.NullPublisher` the entire machinery is one
-attribute read.  Progress callbacks may opt into per-job timing by
-accepting a fourth argument: ``progress(done, total, spec,
-elapsed_s)``; three-argument callbacks keep working unchanged, and
-:class:`ProgressThrottle` wraps either kind to cap the redraw rate.
+attribute read.  A progress callback is called as ``progress(done,
+total, spec, elapsed_s)`` after each job, and :class:`ProgressThrottle`
+wraps one to cap the redraw rate.
 """
 
 from __future__ import annotations
 
 import cProfile
-import inspect
 import os
 import time
 import traceback
@@ -73,10 +71,9 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 S = TypeVar("S")
 R = TypeVar("R")
 
-#: ``progress(done, total, spec)`` is invoked after each job completes,
-#: in completion order; ``done`` counts completed jobs so a CLI can
-#: render "12/64".  A callback that accepts a fourth positional
-#: argument additionally receives the job's elapsed seconds.
+#: ``progress(done, total, spec, elapsed_s)`` is invoked after each job
+#: completes, in completion order; ``done`` counts completed jobs so a
+#: CLI can render "12/64", and ``elapsed_s`` is the job's wall time.
 ProgressFn = Callable[..., None]
 
 
@@ -143,29 +140,6 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
     return n_jobs
 
 
-def _accepts_elapsed(progress: ProgressFn) -> bool:
-    """Does the callback take a fourth (elapsed-seconds) argument?
-
-    Extending the hook is opt-in by arity so every existing
-    three-argument callback keeps working; inspection failures (builtins,
-    exotic callables) conservatively fall back to the legacy signature.
-    """
-    try:
-        sig = inspect.signature(progress)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for param in sig.parameters.values():
-        if param.kind == inspect.Parameter.VAR_POSITIONAL:
-            return True
-        if param.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 4
-
-
 def _job_name(spec: object) -> str:
     """A short display name for a job's trace span."""
     tag = getattr(spec, "tag", None)
@@ -181,9 +155,7 @@ class ProgressThrottle:
     second; redrawing a TTY line for each is wasted stderr traffic.
     The throttle forwards at most one call per ``min_interval_s`` —
     plus, always, the final ``done == total`` call so the finished line
-    lands — and keeps the 3-arg/4-arg hook contract: it accepts the
-    elapsed argument itself and forwards it only when the wrapped
-    callback does.
+    lands.
     """
 
     def __init__(
@@ -196,12 +168,11 @@ class ProgressThrottle:
         self.min_interval_s = min_interval_s
         self._clock = clock
         self._last: float | None = None
-        self._with_elapsed = _accepts_elapsed(progress)
         self.delivered = 0
         self.dropped = 0
 
     def __call__(
-        self, done: int, total: int, spec: object, elapsed: float = 0.0
+        self, done: int, total: int, spec: object, elapsed: float
     ) -> None:
         mark = self._clock()
         if done < total and (
@@ -212,10 +183,7 @@ class ProgressThrottle:
             return
         self._last = mark
         self.delivered += 1
-        if self._with_elapsed:
-            self.progress(done, total, spec, elapsed)
-        else:
-            self.progress(done, total, spec)
+        self.progress(done, total, spec, elapsed)
 
 
 def _init_live_worker(channel: object, config: dict) -> None:
@@ -314,22 +282,6 @@ def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float]:
     return value, elapsed
 
 
-def _notify(
-    progress: ProgressFn | None,
-    with_elapsed: bool,
-    done: int,
-    total: int,
-    spec: object,
-    elapsed: float,
-) -> None:
-    if progress is None:
-        return
-    if with_elapsed:
-        progress(done, total, spec, elapsed)
-    else:
-        progress(done, total, spec)
-
-
 def run_jobs(
     worker: Callable[[S], R],
     specs: Iterable[S],
@@ -350,7 +302,6 @@ def run_jobs(
     n_jobs = resolve_jobs(n_jobs)
     publisher = get_publisher()
     live = publisher.enabled
-    with_elapsed = progress is not None and _accepts_elapsed(progress)
 
     # The batch record seeds the dashboard's total/ETA and the summary's
     # queue waits.  Only the parent-side publisher announces it: a
@@ -370,12 +321,13 @@ def run_jobs(
                     spec, exc, duration=time.perf_counter() - t0
                 ) from exc
             results.append(value)
-            _notify(progress, with_elapsed, done, total, spec, elapsed)
+            if progress is not None:
+                progress(done, total, spec, elapsed)
         return results
 
     # Worker-side timing is only worth the extra pickling when someone
-    # consumes it: an elapsed-aware callback or the stream.
-    timed = with_elapsed or live
+    # consumes it: a progress callback or the stream.
+    timed = progress is not None or live
     call = partial(_timed_call, worker) if timed else worker
     pool_kwargs: dict = {}
     if live:
@@ -405,11 +357,10 @@ def run_jobs(
                     ) from exc
                 if timed:
                     value, elapsed = value  # type: ignore[misc]
-                else:
-                    elapsed = time.perf_counter() - submitted
                 slots[i] = value  # type: ignore[assignment]
                 done += 1
-                _notify(progress, with_elapsed, done, total, specs[i], elapsed)
+                if progress is not None:
+                    progress(done, total, specs[i], elapsed)
         except (Exception, KeyboardInterrupt):
             # Abort the rest of the batch promptly on first failure or
             # Ctrl-C.  Deliberately narrower than BaseException: a

@@ -36,13 +36,6 @@ class PatternSurvey:
     def mean_samples(self) -> float:
         return sum(self.pbs_samples.values()) / len(self.pbs_samples)
 
-    @property
-    def worst_workload(self) -> str:
-        return min(
-            self.consistency,
-            key=lambda wl: min(self.consistency[wl]),
-        )
-
     def render(self) -> str:
         rows = [
             (wl, self.consistency[wl][0], self.consistency[wl][1],

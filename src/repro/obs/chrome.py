@@ -10,10 +10,9 @@ The stream's two clock domains map to two Perfetto "processes":
 
 * pid 1 — the host layer: spans, pool jobs and profiling frames, in
   wall-clock microseconds since the run's first record;
-* pid 2 — the sim layer: window counters, controller decisions and
-  probe samples, rendered at 1 cycle = 1 µs (timestamps are *cycles*;
-  the scale is stated in the process name so nobody reads them as real
-  time).
+* pid 2 — the sim layer: window counters and controller decisions,
+  rendered at 1 cycle = 1 µs (timestamps are *cycles*; the scale is
+  stated in the process name so nobody reads them as real time).
 
 Every host process (the parent, each pool worker) gets its own Perfetto
 thread, so concurrent jobs do not render as bogus nesting; ``--profile``
@@ -89,8 +88,6 @@ def chrome_trace(records: list[dict], run_id: str = "run") -> dict:
                 f"{r['workload']}|{r['scheme']}|app{r['app']}", "window",
                 r["cycle"], {k: r[k] for k in ("eb", "bw", "cmr", "ipc")},
             ))
-        elif rtype == "probe":
-            out.append(_counter(r["name"], "probe", r["cycle"], r["values"]))
         elif rtype == "decision":
             cat = "pbs" if r["scheme"].startswith("pbs") else "ctrl"
             out.append({

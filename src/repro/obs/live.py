@@ -39,7 +39,7 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Callable, ContextManager, Iterator, Protocol
+from typing import Callable, Iterator
 
 from repro.obs.io import JsonlAppender, read_jsonl
 from repro.obs.metrics import get_metrics
@@ -66,8 +66,8 @@ __all__ = [
 
 #: Schema identifier written as the first NDJSON line of every stream.
 LIVE_SCHEMA = "repro.obs.live"
-#: v2: host ``span`` and sim ``probe`` records, decisions with their
-#: full detail, uncapped windows — the one stream of a traced run.
+#: v2: host ``span`` records, decisions with their full detail,
+#: uncapped windows — the one stream of a traced run.
 LIVE_SCHEMA_VERSION = 2
 
 #: The stream's file name inside a traced run's directory.
@@ -113,8 +113,6 @@ _RECORD_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
         "workload": str, "scheme": str, "event": str, "app": int,
         "cycle": (int, float), "roster": list,
     },
-    # one sample of a simulator probe (repro.sim.probes), cycle-stamped
-    "probe": {"name": str, "cycle": (int, float), "values": dict},
     # liveness signal, throttled to HEARTBEAT_S
     "heartbeat": {"pid": int},
     # top-N hot frames of one cProfile'd job:
@@ -188,16 +186,6 @@ def load_live(path: Path) -> tuple[dict, list[dict]]:
 
 
 # --- publishers ---------------------------------------------------------
-
-
-class Publisher(Protocol):  # pragma: no cover - typing aid only
-    enabled: bool
-    worker: bool
-    profile: bool
-
-    def publish(self, record: dict) -> None: ...
-    def heartbeat(self) -> None: ...
-    def span(self, name: str, cat: str = "host", **args: object) -> ContextManager[None]: ...
 
 
 _NULL_SPAN = nullcontext()

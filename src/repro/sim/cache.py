@@ -45,13 +45,6 @@ class SetAssocCache:
         #: a set evicts its own LRU line instead of the global LRU.
         self.way_quota: dict[int, int] = {}
 
-    def set_index(self, line_addr: Bytes) -> int:
-        return (line_addr // self.line_bytes) % self.n_sets
-
-    def probe(self, line_addr: Bytes) -> bool:
-        """Check residency without touching LRU state."""
-        return line_addr in self._sets[self.set_index(line_addr)]
-
     def access(self, line_addr: Bytes, app_id: int) -> bool:
         """Look up ``line_addr``; returns True on hit.
 
@@ -94,16 +87,6 @@ class SetAssocCache:
         line_set[line_addr] = app_id
         return victim
 
-    def invalidate_app(self, app_id: int) -> Count:
-        """Drop every line owned by ``app_id``; returns lines dropped."""
-        dropped = 0
-        for line_set in self._sets:
-            doomed = [a for a, owner in line_set.items() if owner == app_id]
-            for addr in doomed:
-                del line_set[addr]
-            dropped += len(doomed)
-        return dropped
-
     def occupancy_by_app(self) -> dict[int, int]:
         """Resident line counts per application (for analysis/tests)."""
         counts: dict[int, int] = {}
@@ -122,7 +105,8 @@ class MSHRTable:
 
     Keyed by line address; each entry holds the opaque waiter tokens the
     engine will wake when the fill returns.  A full table back-pressures
-    by rejecting allocation (the engine retries after a delay).
+    by rejecting allocation (the engine parks the miss and re-drives it
+    when a fill frees an entry).
     """
 
     __slots__ = ("n_entries", "_pending", "merges", "allocation_failures")
@@ -135,9 +119,6 @@ class MSHRTable:
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def lookup(self, line_addr: Bytes) -> bool:
-        return line_addr in self._pending
 
     def allocate(self, line_addr: Bytes, waiter: object) -> str:
         """Register ``waiter`` for ``line_addr``.

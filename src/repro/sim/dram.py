@@ -42,7 +42,7 @@ class DRAMRequest:
     """One cache-line read request queued at a channel.
 
     The request is itself the data-return event: the scheduler pushes it
-    on the event queue at its burst's end time, and calling it invokes
+    on the event queue at its burst's end time, and the queue invokes
     ``callback(request, now)`` — no per-request closure is allocated.
     """
 
@@ -64,9 +64,6 @@ class DRAMRequest:
         self.row = row
         self.callback = callback
         self.row_hit = False
-
-    def __call__(self, now: Cycles) -> None:
-        self.callback(self, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -267,10 +264,10 @@ class DRAMChannel:
         bank.free_at = col_issue + t_ccd
         self.busy_cycles += self._burst
 
-        # The request object is its own data-return event (see
-        # DRAMRequest.__call__) — no per-burst closure.  Both pushes use
-        # the calendar wheel's inlined fast path (engine-scheduled times
-        # are never in the past; overflow is rare).
+        # The request object is its own data-return event, whose
+        # callback the queue invokes — no per-burst closure.  Both pushes
+        # use the calendar wheel's inlined fast path (engine-scheduled
+        # times are never in the past; overflow is rare).
         ev = self._events
         slot = int(data_end) >> 4  # EventQueue.BUCKET_SHIFT
         if slot - ev._cursor < 1024:  # EventQueue.WHEEL_SIZE

@@ -97,7 +97,10 @@ class MemTxn:
     (their compute-done and L1-hit-response records); one further
     transaction is allocated per non-merged L1 miss and rides the
     L2/DRAM round trip, including any time spent parked in a deferred
-    queue under MSHR or DRAM-queue backpressure.
+    queue under MSHR or DRAM-queue backpressure.  A parked transaction
+    is never dispatched: the drain that frees room re-drives it by a
+    direct call (``_l1_miss``, ``_l2_miss``, ``_to_dram``), so its
+    ``stage`` is not read until that call sets the next one.
     """
 
     #: warp's compute phase finished; issue its memory accesses
@@ -108,15 +111,9 @@ class MemTxn:
     L2_ACCESS = 2
     #: response packet reached the core; fill L1 and wake waiters
     L1_FILL = 3
-    #: parked retry: re-attempt the L1 MSHR allocation
-    RETRY_L1 = 4
-    #: parked retry: re-attempt the L2 MSHR allocation
-    RETRY_L2 = 5
-    #: parked retry: re-attempt the DRAM queue enqueue
-    RETRY_DRAM = 6
     #: one response event carrying several same-instant L1 fills for one
     #: core (``lines`` holds the batch, in scheduling order)
-    L1_FILL_MULTI = 7
+    L1_FILL_MULTI = 4
 
     __slots__ = (
         "stage", "core", "warp", "line", "app_id", "channel", "n_inst",
@@ -165,9 +162,6 @@ _COMPUTE_DONE = MemTxn.COMPUTE_DONE
 _WARP_RESP = MemTxn.WARP_RESP
 _L2_ACCESS = MemTxn.L2_ACCESS
 _L1_FILL = MemTxn.L1_FILL
-_RETRY_L1 = MemTxn.RETRY_L1
-_RETRY_L2 = MemTxn.RETRY_L2
-_RETRY_DRAM = MemTxn.RETRY_DRAM
 _L1_FILL_MULTI = MemTxn.L1_FILL_MULTI
 
 #: shared immutable default for MSHR release when no waiter is registered
@@ -180,9 +174,6 @@ _STAGE_NAMES = (
     "warp_resp",
     "l2_access",
     "l1_fill",
-    "retry_l1",
-    "retry_l2",
-    "retry_dram",
     "l1_fill_multi",
 )
 
@@ -222,10 +213,11 @@ class EventQueue:
     push and pop are O(1) for the intra-hierarchy latencies that
     dominate.
 
-    Entries are ``(time, seq, obj)``.  ``obj`` is either a plain
-    ``fn(now)`` callable or a :class:`MemTxn`, which is routed to the
-    ``dispatch`` hook (bound by :class:`Simulator`) without an
-    intermediate closure.
+    Entries are ``(time, seq, obj)``.  ``obj`` is a plain ``fn(now)``
+    callable, a :class:`MemTxn`, which is routed to the ``dispatch``
+    hook (bound by :class:`Simulator`) without an intermediate closure,
+    or a :class:`~repro.sim.dram.DRAMRequest`, whose ``callback(obj,
+    now)`` is invoked.
     """
 
     #: log2 of a bucket's span in cycles; coarse enough that the walk
@@ -320,9 +312,7 @@ class EventQueue:
                     if cls is MemTxn:
                         dispatch(obj, time)
                     elif cls is DRAMRequest:
-                        # Data-return fast path: skip the __call__ frame
-                        # and invoke the callback (a C-level partial)
-                        # directly.
+                        # Data return: the callback is a C-level partial.
                         obj.callback(obj, time)
                     else:
                         obj(time)
@@ -389,10 +379,6 @@ class SimResult:
     def cmr(self, app_id: int) -> Fraction:
         return self.samples[app_id].cmr
 
-    @property
-    def app_ids(self) -> list[int]:
-        return sorted(self.samples)
-
 
 class Simulator:
     """Whole-GPU simulator executing one or more applications."""
@@ -403,7 +389,7 @@ class Simulator:
         "cores_of_app", "l2s", "l2_mshrs", "_l1_deferred", "_l2_deferred",
         "channels", "_dram_deferred", "collector", "tlp_timeline",
         "window_log", "current_tlp", "_ran", "_stats", "_push",
-        "_channel_of", "_bank_row_of", "_req_ports", "_resp_ports",
+        "_bank_row_of", "_req_ports", "_resp_ports",
         "_l1_hit_latency", "_l2_hit_latency", "_dram_cb", "_dram_drain_cb",
         "_busy_at_measurement", "_txn_pool", "_req_pool", "_interleave",
         "_n_channels", "_row_bytes", "_banks_per_channel", "_prof",
@@ -518,7 +504,6 @@ class Simulator:
         # windows and measurements observe every inlined increment.
         self._stats = [self.collector.apps[a] for a in range(len(apps))]
         self._push = self.events.push
-        self._channel_of = self.addr_map.channel_of
         self._bank_row_of = self.addr_map.bank_row_of
         # Address-map geometry for the inlined channel/bank arithmetic
         # (must mirror AddressMap.channel_of / bank_row_of exactly).
@@ -623,17 +608,6 @@ class Simulator:
                     warp.stream = self._warp_stream(core, warp)
                 self._start_warp(core, warp, now)
 
-    def set_l1_bypass(self, app_id: int, bypass: bool) -> None:
-        """Enable/disable L1 fill bypassing for an application."""
-        if app_id in self._detached_apps:
-            return
-        for core in self.cores_of_app[app_id]:
-            l1 = self.l1s[core.core_id]
-            if bypass:
-                l1.bypass_apps.add(app_id)
-            else:
-                l1.bypass_apps.discard(app_id)
-
     def set_l2_bypass(self, app_id: int, bypass: bool) -> None:
         """Enable/disable L2 fill bypassing for an application."""
         if app_id in self._detached_apps:
@@ -652,8 +626,7 @@ class Simulator:
         """Advance one transaction by one stage.
 
         This is the engine's single event consumer: the event queue
-        routes every :class:`MemTxn` here, and the deferred queues are
-        drained through it as backpressure lifts.
+        routes every :class:`MemTxn` here.
         """
         stage = txn.stage
         prof = self._prof
@@ -708,8 +681,8 @@ class Simulator:
                             continue
                         n_misses += 1
                         # Inlined L1-miss fast path; _l1_miss is the
-                        # readable form (used for retries) and must stay
-                        # equivalent.
+                        # readable form (it re-drives parked misses) and
+                        # must stay equivalent.
                         waiters = pending_map.get(line)
                         if waiters is not None:
                             waiters.append(warp)
@@ -720,13 +693,12 @@ class Simulator:
                             pool = self._txn_pool
                             if pool:
                                 t2 = pool.pop()
-                                t2.stage = _RETRY_L1
                                 t2.core = core
                                 t2.warp = warp
                                 t2.line = line
                                 t2.app_id = app_id
                             else:
-                                t2 = MemTxn(_RETRY_L1, core, warp, line, app_id)
+                                t2 = MemTxn(_L2_ACCESS, core, warp, line, app_id)
                             self._l1_deferred[cid].append(t2)
                             continue
                         pending_map[line] = [warp]
@@ -811,18 +783,15 @@ class Simulator:
             cid = core.core_id
             line = txn.line
             l1 = self.l1s[cid]
-            if l1.bypass_apps or l1.way_quota:
-                l1.fill(line, txn.app_id)
+            # Inlined SetAssocCache.fill (L1s have no bypass and no way
+            # quota): install with plain LRU eviction.
+            line_set = l1._sets[(line // l1.line_bytes) % l1.n_sets]
+            if line in line_set:
+                line_set[line] = line_set.pop(line)
             else:
-                # Inlined SetAssocCache.fill fast path (no bypass, no
-                # way quota): install with plain LRU eviction.
-                line_set = l1._sets[(line // l1.line_bytes) % l1.n_sets]
-                if line in line_set:
-                    line_set[line] = line_set.pop(line)
-                else:
-                    if len(line_set) >= l1.assoc:
-                        del line_set[next(iter(line_set))]
-                    line_set[line] = txn.app_id
+                if len(line_set) >= l1.assoc:
+                    del line_set[next(iter(line_set))]
+                line_set[line] = txn.app_id
             mshr = self.l1_mshrs[cid]
             for warp in mshr._pending.pop(line, _EMPTY):
                 pending = warp.pending - 1
@@ -844,8 +813,7 @@ class Simulator:
                 pending_map = mshr._pending
                 n_entries = mshr.n_entries
                 while deferred and len(pending_map) < n_entries:
-                    # Parked entries are always RETRY_L1; re-drive them
-                    # through _l1_miss directly (no dispatch round trip).
+                    # Re-drive parked misses through _l1_miss directly.
                     t2 = deferred.popleft()
                     self._l1_miss(t2.core, t2.warp, t2.line, now, t2)
             self._txn_pool.append(txn)
@@ -865,16 +833,13 @@ class Simulator:
             deferred = self._l1_deferred[cid]
             app_id = txn.app_id
             for line in txn.lines:
-                if l1.bypass_apps or l1.way_quota:
-                    l1.fill(line, app_id)
+                line_set = l1._sets[(line // l1.line_bytes) % l1.n_sets]
+                if line in line_set:
+                    line_set[line] = line_set.pop(line)
                 else:
-                    line_set = l1._sets[(line // l1.line_bytes) % l1.n_sets]
-                    if line in line_set:
-                        line_set[line] = line_set.pop(line)
-                    else:
-                        if len(line_set) >= l1.assoc:
-                            del line_set[next(iter(line_set))]
-                        line_set[line] = app_id
+                    if len(line_set) >= l1.assoc:
+                        del line_set[next(iter(line_set))]
+                    line_set[line] = app_id
                 for warp in mshr._pending.pop(line, _EMPTY):
                     pending = warp.pending - 1
                     warp.pending = pending
@@ -948,7 +913,7 @@ class Simulator:
                 return
             stats.l2_misses += 1
             # Inlined _l2_miss + _to_dram fast paths (the methods remain
-            # the readable form, used by the parked-retry stages).
+            # the readable form, used to re-drive parked transactions).
             mshr = self.l2_mshrs[channel]
             pending_map = mshr._pending
             waiters = pending_map.get(line)
@@ -959,14 +924,12 @@ class Simulator:
                 return
             if len(pending_map) >= mshr.n_entries:
                 mshr.allocation_failures += 1
-                txn.stage = _RETRY_L2
                 self._l2_deferred[channel].append(txn)
                 return
             pending_map[line] = [txn.core]
             chan = self.channels[channel]
             queue = chan.queue
             if len(queue) >= chan.capacity:
-                txn.stage = _RETRY_DRAM
                 self._dram_deferred[channel].append(txn)
                 chan.on_dequeue = self._dram_drain_cb[channel]
                 return
@@ -1024,15 +987,6 @@ class Simulator:
                     self._start_warp(txn.core, warp, now)
                 else:
                     warp.parked = True
-            return
-        if stage == _RETRY_L1:
-            self._l1_miss(txn.core, txn.warp, txn.line, now, txn)
-            return
-        if stage == _RETRY_L2:
-            self._l2_miss(txn, now)
-            return
-        if stage == _RETRY_DRAM:
-            self._to_dram(txn, now)
             return
         raise RuntimeError(f"unknown transaction stage {stage}")
 
@@ -1114,9 +1068,7 @@ class Simulator:
             # a fill frees an MSHR entry (see the L1_FILL stage).
             mshr.allocation_failures += 1
             if txn is None:
-                txn = MemTxn(_RETRY_L1, core, warp, line, warp.app_id)
-            else:
-                txn.stage = _RETRY_L1
+                txn = MemTxn(_L2_ACCESS, core, warp, line, warp.app_id)
             self._l1_deferred[core.core_id].append(txn)
             return
         pending_map[line] = [warp]
@@ -1151,7 +1103,6 @@ class Simulator:
             return
         if len(pending_map) >= mshr.n_entries:
             mshr.allocation_failures += 1
-            txn.stage = _RETRY_L2
             self._l2_deferred[channel].append(txn)
             return
         pending_map[line] = [txn.core]
@@ -1166,7 +1117,6 @@ class Simulator:
         channel = txn.channel
         chan = self.channels[channel]
         if len(chan.queue) >= chan.capacity:
-            txn.stage = _RETRY_DRAM
             self._dram_deferred[channel].append(txn)
             chan.on_dequeue = self._dram_drain_cb[channel]
             return
@@ -1199,8 +1149,7 @@ class Simulator:
         queue = chan.queue
         capacity = chan.capacity
         while deferred and len(queue) < capacity:
-            # Parked entries are always RETRY_DRAM; re-drive them
-            # through _to_dram directly (no dispatch round trip).
+            # Re-drive parked requests through _to_dram directly.
             self._to_dram(deferred.popleft(), now)
         if not deferred:
             chan.on_dequeue = None
@@ -1218,8 +1167,8 @@ class Simulator:
         if l2.bypass_apps or l2.way_quota:
             l2.fill(line, app_id)
         else:
-            # Inlined SetAssocCache.fill fast path (see the L1_FILL
-            # stage).
+            # Inlined SetAssocCache.fill fast path (no bypass, no way
+            # quota): install with plain LRU eviction.
             line_set = l2._sets[(line // l2.line_bytes) % l2.n_sets]
             if line in line_set:
                 line_set[line] = line_set.pop(line)
@@ -1270,8 +1219,7 @@ class Simulator:
             pending_map = mshr._pending
             n_entries = mshr.n_entries
             while deferred and len(pending_map) < n_entries:
-                # Parked entries are always RETRY_L2 (see the L2 miss
-                # path); re-drive them through _l2_miss directly.
+                # Re-drive parked misses through _l2_miss directly.
                 self._l2_miss(deferred.popleft(), now)
         self._req_pool.append(request)
 

@@ -14,12 +14,6 @@ debugging and analysis without touching the default simulation path:
 Attach probes with :func:`attach`, run the simulation, then read the
 probe objects.  Attaching wraps/schedules hooks on the simulator
 instance; it never alters timing.
-
-Every probe offers ``to_events()``, which renders its collected data as
-plain ``probe`` records of the telemetry stream schema
-(:mod:`repro.obs.live`; cycle-stamped, so traced runs stay
-deterministic) ready to publish onto a run's stream, whose Chrome fold
-draws them as sim-layer counters.
 """
 
 from __future__ import annotations
@@ -42,11 +36,6 @@ __all__ = [
     "OccupancyProbe",
     "attach",
 ]
-
-
-def _probe(name: str, cycle: Cycles, values: dict) -> dict:
-    """One ``probe`` stream record."""
-    return {"type": "probe", "name": name, "cycle": cycle, "values": values}
 
 
 class LatencyHistogram:
@@ -104,14 +93,6 @@ class LatencyHistogram:
             "count": float(self.count(app_id)),
         }
 
-    def to_events(self, cycle: Cycles = 0.0) -> list[dict]:
-        """One record per app with its latency percentiles."""
-        return [
-            _probe(f"latency.app{app_id}", cycle, self.summary(app_id))
-            for app_id in sorted(self._buckets)
-            if any(self._buckets[app_id])
-        ]
-
 
 @dataclass
 class QueueDepthProbe:
@@ -135,16 +116,6 @@ class QueueDepthProbe:
         ]
         return sum(depths) / len(depths) if depths else 0.0
 
-    def ever_backpressured(self) -> bool:
-        return any(d > 0 for _, _, _, d in self.samples)
-
-    def to_events(self) -> list[dict]:
-        """One record per (sample, channel) with both depths."""
-        return [
-            _probe(f"dram.ch{ch}", t, {"queue": depth, "deferred": deferred})
-            for t, ch, depth, deferred in self.samples
-        ]
-
 
 @dataclass
 class OccupancyProbe:
@@ -162,16 +133,6 @@ class OccupancyProbe:
             if total:
                 shares.append(occupancy.get(app_id, 0) / total)
         return sum(shares) / len(shares) if shares else 0.0
-
-    def to_events(self) -> list[dict]:
-        """One record per sample with per-app resident lines."""
-        return [
-            _probe(
-                "l2.occupancy", t,
-                {f"app{a}": occupancy[a] for a in sorted(occupancy)},
-            )
-            for t, occupancy in self.samples
-        ]
 
 
 class _Every:

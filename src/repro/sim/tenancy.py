@@ -159,12 +159,10 @@ class Tenancy:
         self._seal_window(now)
         self.live.remove(app_id)
         sim._detached_apps.add(app_id)
-        # Retire actuator state: bypass flags drop everywhere, the TLP
-        # entry leaves the live map, and any still-queued delayed
-        # actuations for this app become no-ops (Simulator.set_tlp
-        # ignores detached apps).
-        for l1 in sim.l1s:
-            l1.bypass_apps.discard(app_id)
+        # Retire actuator state: L2 bypass flags drop, the TLP entry
+        # leaves the live map, and any still-queued delayed actuations
+        # for this app become no-ops (Simulator.set_tlp ignores
+        # detached apps).
         for l2 in sim.l2s:
             l2.bypass_apps.discard(app_id)
         sim.current_tlp.pop(app_id, None)

@@ -107,14 +107,6 @@ class TestWayQuota:
 
 
 class TestInvalidateAndOccupancy:
-    def test_invalidate_app(self):
-        cache = make_cache()
-        cache.fill(addr(0, 0), 0)
-        cache.fill(addr(1, 0), 0)
-        cache.fill(addr(2, 0), 1)
-        assert cache.invalidate_app(0) == 2
-        assert cache.occupancy_by_app() == {1: 1}
-
     def test_occupancy_by_app(self):
         cache = make_cache()
         cache.fill(addr(0, 0), 0)

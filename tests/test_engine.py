@@ -343,12 +343,6 @@ class TestBypass:
         sim.run(4000, warmup=1000, initial_tlp={0: 8})
         assert sum(l2.resident_lines for l2 in sim.l2s) > 0
 
-    def test_l1_bypass(self, small_cfg):
-        sim = Simulator(small_cfg, [app_by_abbr("BLK")], core_split=(1,), seed=5)
-        sim.set_l1_bypass(0, True)
-        sim.run(4000, warmup=1000, initial_tlp={0: 8})
-        assert all(l1.resident_lines == 0 for l1 in sim.l1s[:1])
-
 
 class TestWayQuota:
     def test_l2_quota_bounds_occupancy(self, small_cfg):

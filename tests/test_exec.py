@@ -124,19 +124,18 @@ class TestRunJobs:
     def test_progress_counts_to_total(self):
         seen = []
         run_jobs(_square, range(5), n_jobs=1,
-                 progress=lambda done, total, spec: seen.append((done, total)))
+                 progress=lambda done, total, spec, elapsed: seen.append((done, total)))
         assert seen == [(i, 5) for i in range(1, 6)]
 
     def test_progress_parallel_reaches_total(self):
         seen = []
         run_jobs(_square, range(8), n_jobs=4,
-                 progress=lambda done, total, spec: seen.append(done))
+                 progress=lambda done, total, spec, elapsed: seen.append(done))
         assert sorted(seen) == list(range(1, 9))
 
 
 class TestProgressElapsed:
-    """The extended progress hook: 4-positional callbacks get per-job
-    elapsed seconds; legacy 3-arg callbacks keep working unchanged."""
+    """Progress callbacks get each job's elapsed seconds."""
 
     @pytest.mark.parametrize("n_jobs", [1, 4])
     def test_four_arg_callback_gets_elapsed(self, n_jobs):
@@ -159,12 +158,6 @@ class TestProgressElapsed:
         run_jobs(_square, range(3), n_jobs=n_jobs,
                  progress=lambda *a: calls.append(a))
         assert all(len(a) == 4 for a in calls)
-
-    def test_legacy_three_arg_callback_unchanged(self):
-        calls = []
-        run_jobs(_square, range(3), n_jobs=1,
-                 progress=lambda done, total, spec: calls.append((done, spec)))
-        assert [d for d, _ in calls] == [1, 2, 3]
 
     @pytest.mark.parametrize("n_jobs", [1, 4])
     def test_job_error_carries_duration(self, n_jobs):

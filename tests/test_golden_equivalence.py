@@ -21,6 +21,8 @@ from repro.config import small_config
 from repro.exec.jobs import SimJob, run_sim_job
 from repro.exec.pool import run_jobs
 from repro.experiments.common import MODEL_DIGEST
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.sim.engine import MemTxn, set_engine_profiling
 from repro.workloads.table4 import app_by_abbr
 
 from tests.golden_cases import (
@@ -71,6 +73,29 @@ def test_fixture_matrix_covers_every_dispatch_path():
     assert any(c.l2_way_quota for c in CASES)
     assert any(c.core_split for c in CASES)
     assert any(len(c.apps) == 1 for c in CASES)
+
+
+def test_matrix_dispatches_every_declared_stage():
+    """Every stage ``MemTxn`` declares is dispatched in some case: a
+    stage the matrix never reaches is a path the fixtures do not pin."""
+    registry = MetricsRegistry()
+    previous_registry = set_metrics(registry)
+    previous = set_engine_profiling(True)
+    try:
+        for case in CASES:
+            case_result(case)
+    finally:
+        set_engine_profiling(previous)
+        set_metrics(previous_registry)
+    stages = [
+        name.lower() for name, value in vars(MemTxn).items()
+        if name.isupper() and isinstance(value, int)
+    ]
+    counts = {
+        stage: registry.counters.get(f"engine.dispatch.{stage}", 0)
+        for stage in stages
+    }
+    assert all(counts.values()), counts
 
 
 def test_model_digest_is_the_fixtures_digest():

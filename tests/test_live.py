@@ -97,8 +97,6 @@ def _valid_records() -> list[dict]:
          "objective": 1.25, "ebs": [0.4, 0.3]},
         {"type": "tenancy", "workload": "two-phase", "scheme": "pbs-ws",
          "event": "attach", "app": 2, "cycle": 29500.0, "roster": [0, 1, 2]},
-        {"type": "probe", "name": "l2.occupancy", "cycle": 2000.0,
-         "values": {"app0": 60, "app1": 40}},
         {"type": "heartbeat", "pid": 11},
         {"type": "profile", "job": "alone BLK 8", "pid": 11,
          "frames": [["run (engine.py:1)", 0.5, 0.1, 42]]},
@@ -618,32 +616,27 @@ class TestProgressThrottle:
         calls: list[tuple] = []
         clock = FakeClock()
         throttle = ProgressThrottle(
-            lambda done, total, spec: calls.append((done, total)),
+            lambda done, total, spec, elapsed: calls.append((done, total)),
             min_interval_s=1.0, clock=clock,
         )
         spec = SimpleNamespace(tag=("BLK", "alone", 8))
-        throttle(1, 4, spec)       # first call delivers
-        throttle(2, 4, spec)       # within interval: dropped
+        throttle(1, 4, spec, 0.5)  # first call delivers
+        throttle(2, 4, spec, 0.5)  # within interval: dropped
         clock.advance(1.5)
-        throttle(3, 4, spec)       # past interval: delivers
-        throttle(4, 4, spec)       # final call always delivers
+        throttle(3, 4, spec, 0.5)  # past interval: delivers
+        throttle(4, 4, spec, 0.5)  # final call always delivers
         assert calls == [(1, 4), (3, 4), (4, 4)]
         assert throttle.delivered == 3 and throttle.dropped == 1
 
-    def test_forwards_elapsed_only_to_four_arg_hooks(self):
+    def test_forwards_elapsed(self):
         from repro.exec import ProgressThrottle
 
-        three: list[tuple] = []
-        four: list[tuple] = []
+        calls: list[tuple] = []
         spec = object()
-        ProgressThrottle(lambda d, t, s: three.append((d, t, s)))(
+        ProgressThrottle(lambda d, t, s, e: calls.append((d, t, s, e)))(
             1, 1, spec, 2.5
         )
-        ProgressThrottle(lambda d, t, s, e: four.append((d, t, s, e)))(
-            1, 1, spec, 2.5
-        )
-        assert three == [(1, 1, spec)]
-        assert four == [(1, 1, spec, 2.5)]
+        assert calls == [(1, 1, spec, 2.5)]
 
 
 # --- the CLI gate -------------------------------------------------------------

@@ -311,8 +311,6 @@ class TestChromeExport:
              "cycle": 5.0, "eb": 0.5, "bw": 0.4, "cmr": 0.1, "ipc": 1.0},
             {"type": "decision", "workload": "w", "scheme": "pbs-ws",
              "kind": "sample", "cycle": 7.0, "combo": [24, 4]},
-            {"type": "probe", "name": "l2.occupancy", "cycle": 9.0,
-             "values": {"app0": 60, "label": "drop-me"}},
         ]
         doc = chrome_trace(records, run_id="r")
         assert doc["displayTimeUnit"] == "ms"
@@ -321,10 +319,11 @@ class TestChromeExport:
         assert out["host"]["ts"] == 0.0 and out["host"]["dur"] == 1e6
         assert out["w|s|app0"]["pid"] == 2
         assert out["w|s|app0"]["ts"] == 5.0
+        assert out["w|s|app0"]["args"] == {
+            "eb": 0.5, "bw": 0.4, "cmr": 0.1, "ipc": 1.0,
+        }
         assert out["pbs.sample"]["pid"] == 2 and out["pbs.sample"]["s"] == "t"
         assert out["pbs.sample"]["args"]["combo"] == [24, 4]
-        # counter args keep only numeric series
-        assert out["l2.occupancy"]["args"] == {"app0": 60}
         meta = [r for r in doc["traceEvents"] if r["ph"] == "M"]
         names = {r["args"]["name"] for r in meta}
         assert any("host" in n for n in names)
@@ -698,7 +697,7 @@ class TestProgressLine:
 
         fake = io.StringIO()  # StringIO.isatty() is False
         monkeypatch.setattr(sys, "stderr", fake)
-        cli._print_progress(1, 5, self._spec())
+        cli._print_progress(1, 5, self._spec(), 2.0)
         assert fake.getvalue() == ""
 
     def test_tty_gets_carriage_return_frames(self, monkeypatch):
@@ -711,7 +710,7 @@ class TestProgressLine:
         fake = FakeTTY()
         monkeypatch.setattr(sys, "stderr", fake)
         cli._print_progress(1, 5, self._spec(), 2.0)
-        cli._print_progress(5, 5, self._spec())
+        cli._print_progress(5, 5, self._spec(), 0.0)
         out = fake.getvalue()
         assert out.startswith("\r")
         assert "[1/5]" in out and "BLK alone 8" in out

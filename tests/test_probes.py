@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import small_config
-from repro.obs.live import validate_live_record
 from repro.sim.engine import Simulator
 from repro.sim.probes import (
     LatencyHistogram,
@@ -80,38 +79,6 @@ class TestLatencyHistogram:
         # while P50 interpolates within the first sample's bucket
         assert 8 <= hist.percentile(0, 0.50) <= 16
         assert hist.summary(0)["count"] == 2.0
-
-
-class TestProbeEvents:
-    def test_histogram_to_events_skips_empty_apps(self):
-        hist = LatencyHistogram()
-        hist.record(2, 100.0)
-        hist.record(0, 50.0)
-        records = hist.to_events(cycle=1234.0)
-        assert [r["name"] for r in records] == ["latency.app0", "latency.app2"]
-        for r in records:
-            assert validate_live_record(r) == []
-            assert r["type"] == "probe" and r["cycle"] == 1234.0
-            assert r["values"]["p50"] <= r["values"]["p99"]
-        assert LatencyHistogram().to_events() == []
-
-    def test_queue_probe_to_events(self):
-        probe = QueueDepthProbe()
-        probe.samples.extend([(500.0, 0, 3, 0), (500.0, 1, 7, 2)])
-        records = probe.to_events()
-        assert [r["name"] for r in records] == ["dram.ch0", "dram.ch1"]
-        assert records[1]["values"] == {"queue": 7, "deferred": 2}
-        assert all(r["cycle"] == 500.0 for r in records)
-        assert all(validate_live_record(r) == [] for r in records)
-
-    def test_occupancy_probe_to_events(self):
-        probe = OccupancyProbe()
-        probe.samples.append((2000.0, {1: 40, 0: 60}))
-        (record,) = probe.to_events()
-        assert record["name"] == "l2.occupancy"
-        assert list(record["values"]) == ["app0", "app1"]  # sorted by app id
-        assert record["values"] == {"app0": 60, "app1": 40}
-        assert validate_live_record(record) == []
 
 
 class TestProbesOnSimulator:

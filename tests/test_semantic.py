@@ -360,7 +360,7 @@ ENGINE_MUTATIONS = {
         "leak",
     ),
     "use_after_release": (
-        _RELEASE, _RELEASE + "        txn.stage = _RETRY_DRAM\n",
+        _RELEASE, _RELEASE + "        txn.stage = _L2_ACCESS\n",
         "use-after-release",
     ),
     # The second append reads the released transaction first.
@@ -394,7 +394,7 @@ class TestLifecycleOnRealEngine:
         analysis = analyze_engine(ast.parse(ENGINE_PATH.read_text()))
         assert analysis.findings == []
         # The stage machine was actually extracted, not vacuously empty.
-        assert len(analysis.stages) == 8
+        assert len(analysis.stages) == 5
         assert analysis.handled == set(analysis.stages)
         assert analysis.pooled and analysis.warp_owned
         assert analysis.transitions

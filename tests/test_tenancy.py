@@ -1,6 +1,5 @@
 """Tests for open-system tenancy: core splitting, the attach/detach
-lifecycle, arrival schedules, the policy registry, and pooled
-open-system jobs."""
+lifecycle, arrival schedules and the policy registry."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from repro.core.policy import (
     make_policy,
     register_policy,
 )
-from repro.exec import OpenSimJob, run_jobs, run_open_sim_job
 from repro.experiments.common import _result_to_dict
 from repro.sim.engine import Simulator
 from repro.sim.tenancy import TenancyEvent, split_cores
@@ -387,32 +385,3 @@ class TestPolicyRegistry:
         for name in available_policies():
             factory = get_policy(name)
             assert pickle.loads(pickle.dumps(factory)) is factory
-
-
-class TestOpenSimJob:
-    def _job(self, small_cfg, tag=None):
-        events = (
-            TenancyEvent(cycle=3000, action="attach", profile=app_by_abbr("LUD")),
-        )
-        return OpenSimJob(
-            config=small_cfg,
-            initial=(app_by_abbr("BLK"),),
-            events=events,
-            policy="static",
-            cycles=5000,
-            warmup=1500,
-            policy_kwargs=(("combo", None),),
-            seed=9,
-            tag=tag,
-        )
-
-    def test_job_is_picklable(self, small_cfg):
-        job = self._job(small_cfg)
-        assert pickle.loads(pickle.dumps(job)) == job
-
-    def test_serial_vs_pooled_identity(self, small_cfg):
-        job = self._job(small_cfg)
-        serial = run_open_sim_job(job)
-        (pooled,) = run_jobs(run_open_sim_job, [job], n_jobs=2)
-        assert _result_to_dict(serial) == _result_to_dict(pooled)
-        assert [r["event"] for r in pooled.roster] == ["attach"]
